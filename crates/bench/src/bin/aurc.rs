@@ -7,12 +7,12 @@
 //! for less traffic. "The major tradeoff between AURC and LRC is between
 //! bandwidth and protocol overhead."
 
-use svm_bench::{mb, Options, Table};
+use svm_bench::{cli, mb, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::{Category, TrafficClass};
 
 fn main() {
-    let mut opts = Options::from_args();
+    let mut opts = cli::sweep_options();
     opts.protocols = vec![ProtocolName::Hlrc, ProtocolName::Aurc];
     println!("\nAURC vs HLRC (scale {})\n", opts.scale);
     let mut t = Table::new(&[

@@ -10,14 +10,15 @@
 //! duplicate suppressions, and the fault layer's own per-knob tally.
 //!
 //! Usage: `chaos [--scale X] [--nodes N] [--drop a,b,c] [--seed S]`
-//! (defaults: scale 0.05, 4 nodes, drop rates 0, 0.001, 0.01, seed 1).
+//! (defaults: scale 0.05, 4 nodes, drop rates 0, 0.001, 0.01, seed 1;
+//! bad input exits 2 with this usage line).
 //! The dominated columns derive their intensity from the largest
 //! requested rate.
 
 use svm_apps::{
     lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
 };
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig};
 
 struct Opts {
@@ -34,32 +35,15 @@ fn parse_args() -> Opts {
         drops: vec![0.0, 0.001, 0.01],
         seed: 1,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--drop" => {
-                i += 1;
-                o.drops = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--drop takes rates like 0,0.001,0.01"))
-                    .collect();
-            }
-            "--seed" => {
-                i += 1;
-                o.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            other => panic!("unknown option {other} (try --scale/--nodes/--drop/--seed)"),
+    let mut args = cli::Args::new("[--scale X] [--nodes N] [--drop a,b,c] [--seed S]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => o.scale = args.scale(),
+            "--nodes" => o.nodes = args.nodes(),
+            "--drop" => o.drops = args.list(),
+            "--seed" => o.seed = args.value(),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     o
 }

@@ -17,12 +17,12 @@
 //!
 //! Usage: `check [--scale X] [--nodes N] [--seed S] [--fast]`
 //! (defaults: scale 0.02, 8 nodes, seed 1; `--fast` runs a reduced matrix
-//! for `scripts/verify.sh`).
+//! for `scripts/verify.sh`; bad input exits 2 with this usage line).
 
 use svm_apps::{
     lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
 };
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_checker::selftest::run_selftests;
 use svm_checker::{check_trace, CheckReport};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig, TraceConfig};
@@ -41,26 +41,15 @@ fn parse_args() -> Opts {
         seed: 1,
         fast: false,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--seed" => {
-                i += 1;
-                o.seed = args[i].parse().expect("--seed takes an integer");
-            }
+    let mut args = cli::Args::new("[--scale X] [--nodes N] [--seed S] [--fast]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => o.scale = args.scale(),
+            "--nodes" => o.nodes = args.nodes(),
+            "--seed" => o.seed = args.value(),
             "--fast" => o.fast = true,
-            other => panic!("unknown option {other} (try --scale/--nodes/--seed/--fast)"),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     o
 }

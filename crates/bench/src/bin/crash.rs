@@ -17,12 +17,13 @@
 //! Usage: `crash [--scale X] [--nodes N] [--crashes K] [--window-us W]
 //! [--seeds a,b] [--fail-fast]` (defaults: scale 0.03, 4 nodes, 1 crash,
 //! 60 ms window, seeds 1,2, graceful). Crash times land in
-//! `[W/4, W)`; node 0 is always spared by the seeded schedule.
+//! `[W/4, W)`; node 0 is always spared by the seeded schedule. Bad input
+//! exits 2 with the usage line.
 
 use svm_apps::{
     lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
 };
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_core::{ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
 use svm_machine::NodeFaultConfig;
 use svm_sim::SimDuration;
@@ -45,40 +46,19 @@ fn parse_args() -> Opts {
         seeds: vec![1, 2],
         mode: RecoveryMode::Graceful,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a number");
-            }
-            "--nodes" => {
-                i += 1;
-                o.nodes = args[i].parse().expect("--nodes takes a count");
-            }
-            "--crashes" => {
-                i += 1;
-                o.crashes = args[i].parse().expect("--crashes takes a count");
-            }
-            "--window-us" => {
-                i += 1;
-                o.window_us = args[i].parse().expect("--window-us takes microseconds");
-            }
-            "--seeds" => {
-                i += 1;
-                o.seeds = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("--seeds takes integers like 1,2"))
-                    .collect();
-            }
+    let mut args = cli::Args::new(
+        "[--scale X] [--nodes N] [--crashes K] [--window-us W] [--seeds a,b] [--fail-fast]",
+    );
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => o.scale = args.scale(),
+            "--nodes" => o.nodes = args.nodes(),
+            "--crashes" => o.crashes = args.value(),
+            "--window-us" => o.window_us = args.value(),
+            "--seeds" => o.seeds = args.list(),
             "--fail-fast" => o.mode = RecoveryMode::FailFast,
-            other => panic!(
-                "unknown option {other} \
-                 (try --scale/--nodes/--crashes/--window-us/--seeds/--fail-fast)"
-            ),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     o
 }

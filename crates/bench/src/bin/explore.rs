@@ -16,7 +16,10 @@
 //!   cells (LRC/HLRC) — still >10k distinct states in well under a
 //!   minute. The full run adds the 3-node OLRC/OHLRC crash cells and the
 //!   deeper non-crash matrix (minutes, not hours).
+//!
+//! Bad input exits 2 with the usage line.
 
+use svm_bench::cli;
 use svm_core::ProtocolName;
 use svm_explore::{base_config, ExploreOptions, Explorer, Program};
 use svm_testkit::bench::Stopwatch;
@@ -69,7 +72,14 @@ fn matrix(fast: bool) -> Vec<Cell> {
 }
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let mut fast = false;
+    let mut args = cli::Args::new("[--fast]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--fast" => fast = true,
+            _ => args.unknown(),
+        }
+    }
     let cells = matrix(fast);
     let total_sw = Stopwatch::start();
     let mut total_states = 0u64;

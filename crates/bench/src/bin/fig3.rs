@@ -2,11 +2,11 @@
 //! transfer, garbage collection, lock, barrier, protocol overhead — per
 //! application, protocol, and machine size (printed as percentage stacks).
 
-use svm_bench::{run_sweep, Options, Table};
+use svm_bench::{cli, run_sweep, Table};
 use svm_machine::Category;
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     let records = run_sweep(&opts);
 
     println!(

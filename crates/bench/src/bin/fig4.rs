@@ -4,12 +4,12 @@
 
 use svm_apps::water_ns::WaterNsq;
 use svm_apps::Benchmark;
-use svm_bench::{parallel, Options, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_core::{ProtocolName, SvmConfig};
 use svm_machine::Category;
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     // Enough steps for the paper's barrier-9..10 window (3 barriers/step).
     let mut w = WaterNsq::scaled(opts.scale);
     w.steps = 4;

@@ -15,7 +15,8 @@
 //!    to the serial stage (the run exits nonzero if not), which is the
 //!    determinism claim of DESIGN.md §13 checked on every invocation.
 //!
-//! Usage: `perf [--fast] [--threads N] [--out PATH] [--check PATH]`
+//! Usage: `perf [--fast] [--threads N] [--out PATH] [--check PATH]` (bad
+//! input exits 2 with this usage line)
 //!
 //! * `--fast` shrinks the matrix for CI smoke use (`scripts/verify.sh`).
 //! * `--threads` forces the parallel stage's worker count (default: the
@@ -26,7 +27,7 @@
 //!   exit 0 iff it parses and has the expected shape.
 
 use svm_bench::json::{self, Json};
-use svm_bench::{parallel, run_sweep_serial, run_sweep_with, Options, Record};
+use svm_bench::{cli, parallel, run_sweep_serial, run_sweep_with, Options, Record};
 use svm_core::ProtocolName;
 use svm_mem::{Diff, PageBuf};
 use svm_testkit::alloc as talloc;
@@ -68,26 +69,15 @@ fn parse_args() -> Opts {
         out: "BENCH_svm.json".to_string(),
         check: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = cli::Args::new("[--fast] [--threads N] [--out PATH] [--check PATH]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--fast" => o.fast = true,
-            "--threads" => {
-                i += 1;
-                o.threads = Some(args[i].parse().expect("--threads takes a count"));
-            }
-            "--out" => {
-                i += 1;
-                o.out = args[i].clone();
-            }
-            "--check" => {
-                i += 1;
-                o.check = Some(args[i].clone());
-            }
-            other => panic!("unknown option {other} (try --fast/--threads/--out/--check)"),
+            "--threads" => o.threads = Some(args.value()),
+            "--out" => o.out = args.string(),
+            "--check" => o.check = Some(args.string()),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     o
 }
@@ -267,9 +257,8 @@ fn micro_benches() -> Vec<(&'static str, f64)> {
     // Reduced measurement budget: the baseline tracks these medians for
     // drift, not for publication-grade precision, and the alloc-heavy
     // bodies (8 KiB page clones) would otherwise dominate the stage's
-    // allocation counter. `cargo bench` keeps the full default budget.
-    let mut h = Harness::with_budget(None, 5, 500_000);
-    let mut out = Vec::new();
+    // allocation counter.
+    let h = Harness::new(5, 500_000);
 
     let twin: Vec<u8> = (0..PAGE).map(|i| (i % 251) as u8).collect();
     let mut sparse = twin.clone();
@@ -277,47 +266,43 @@ fn micro_benches() -> Vec<(&'static str, f64)> {
         sparse[off] ^= 0x5A;
     }
     let full: Vec<u8> = twin.iter().map(|b| b.wrapping_add(1)).collect();
-
-    // The create benches measure the simulator's actual diff lifecycle —
-    // create, use, recycle back to the buffer pool — which is also what
-    // keeps them allocation-free in steady state.
-    if let Some(ns) = h.bench("diff/create_sparse_8k", || {
-        Diff::create(&twin, &sparse).recycle()
-    }) {
-        out.push(("diff/create_sparse_8k", ns));
-    }
-    if let Some(ns) = h.bench("diff/create_clean_8k", || {
-        Diff::create(&twin, &twin).recycle()
-    }) {
-        out.push(("diff/create_clean_8k", ns));
-    }
-    if let Some(ns) = h.bench("diff/create_full_8k", || {
-        Diff::create(&twin, &full).recycle()
-    }) {
-        out.push(("diff/create_full_8k", ns));
-    }
     let sparse_diff = Diff::create(&twin, &sparse);
     let mut target = twin.clone();
-    if let Some(ns) = h.bench("diff/apply_sparse_8k", || {
-        sparse_diff.apply(black_box(&mut target))
-    }) {
-        out.push(("diff/apply_sparse_8k", ns));
-    }
     let mut shifted = twin.clone();
     for off in [512usize, 516, 2048] {
         shifted[off] ^= 0x3C;
     }
     let other_diff = Diff::create(&twin, &shifted);
-    if let Some(ns) = h.bench("diff/merge_sparse_8k", || {
-        sparse_diff.merge(&other_diff, PAGE).recycle()
-    }) {
-        out.push(("diff/merge_sparse_8k", ns));
-    }
-    if let Some(ns) = h.bench("page/new_zeroed_8k", || PageBuf::new_zeroed(PAGE)) {
-        out.push(("page/new_zeroed_8k", ns));
-    }
-    if let Some(ns) = h.bench("page/from_slice_8k", || PageBuf::from_slice(&twin)) {
-        out.push(("page/from_slice_8k", ns));
+
+    // The create benches measure the simulator's actual diff lifecycle —
+    // create, use, recycle back to the buffer pool — which is also what
+    // keeps them allocation-free in steady state.
+    let out = vec![
+        (
+            "diff/create_sparse_8k",
+            h.bench(|| Diff::create(&twin, &sparse).recycle()),
+        ),
+        (
+            "diff/create_clean_8k",
+            h.bench(|| Diff::create(&twin, &twin).recycle()),
+        ),
+        (
+            "diff/create_full_8k",
+            h.bench(|| Diff::create(&twin, &full).recycle()),
+        ),
+        (
+            "diff/apply_sparse_8k",
+            h.bench(|| sparse_diff.apply(black_box(&mut target))),
+        ),
+        (
+            "diff/merge_sparse_8k",
+            h.bench(|| sparse_diff.merge(&other_diff, PAGE).recycle()),
+        ),
+        ("page/new_zeroed_8k", h.bench(|| PageBuf::new_zeroed(PAGE))),
+        ("page/from_slice_8k", h.bench(|| PageBuf::from_slice(&twin))),
+    ];
+    for (name, ns) in &out {
+        eprintln!("  {name:<40} {ns:.1} ns");
     }
     out
 }

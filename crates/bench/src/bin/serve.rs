@@ -14,11 +14,12 @@
 //! observed a consistency violation (value or FIFO errors), so the matrix
 //! doubles as an end-to-end protocol check under served traffic.
 //!
-//! Usage: `serve [--fast] [--threads N] [--out PATH]`
+//! Usage: `serve [--fast] [--threads N] [--out PATH]` (bad input exits 2
+//! with this usage line)
 
 use svm_bench::hist::Histogram;
 use svm_bench::json::{self, Json};
-use svm_bench::{parallel, Table};
+use svm_bench::{cli, parallel, Table};
 use svm_core::ProtocolName;
 use svm_serve::{KeyDist, LoadMode, ServeRun, ServeSpec, ServiceKind};
 
@@ -36,22 +37,14 @@ fn parse_args() -> Opts {
         threads: None,
         out: None,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = cli::Args::new("[--fast] [--threads N] [--out PATH]");
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--fast" => o.fast = true,
-            "--threads" => {
-                i += 1;
-                o.threads = Some(args[i].parse().expect("--threads takes a count"));
-            }
-            "--out" => {
-                i += 1;
-                o.out = Some(args[i].clone());
-            }
-            other => panic!("unknown option {other} (try --fast/--threads/--out)"),
+            "--threads" => o.threads = Some(args.value()),
+            "--out" => o.out = Some(args.string()),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     o
 }

@@ -4,11 +4,11 @@
 
 use svm_apps::sor::Sor;
 use svm_apps::Benchmark;
-use svm_bench::{Options, Table};
+use svm_bench::{cli, Table};
 use svm_core::{ProtocolName, SvmConfig};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     let sor = Sor::zero_interior(opts.scale);
     println!(
         "\nSection 4.8: SOR with zero interior ({}), scale {}\n",

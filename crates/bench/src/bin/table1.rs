@@ -4,11 +4,11 @@
 //! (protocol overheads are nearly zero there, so it lands on the
 //! calibrated sequential time).
 
-use svm_bench::{secs, Options, Table};
+use svm_bench::{cli, secs, Table};
 use svm_core::{ProtocolName, SvmConfig};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     let mut t = Table::new(&[
         "Application",
         "Problem size",

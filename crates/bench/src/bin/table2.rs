@@ -1,9 +1,9 @@
 //! Table 2: speedups for all four protocols at each machine size.
 
-use svm_bench::{index, run_sweep, Options, Table};
+use svm_bench::{cli, index, run_sweep, Table};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     let records = run_sweep(&opts);
     let idx = index(&records);
 

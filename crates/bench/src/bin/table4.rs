@@ -2,11 +2,11 @@
 //! and applied, lock acquires, barriers — for LRC versus HLRC at the
 //! smallest and largest machine sizes (the "home effect" table).
 
-use svm_bench::{run_sweep, Options, Table};
+use svm_bench::{cli, run_sweep, Table};
 use svm_core::ProtocolName;
 
 fn main() {
-    let mut opts = Options::from_args();
+    let mut opts = cli::sweep_options();
     opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
     if opts.nodes.len() > 2 {
         opts.nodes = vec![*opts.nodes.first().unwrap(), *opts.nodes.last().unwrap()];

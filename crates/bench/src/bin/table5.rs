@@ -1,12 +1,12 @@
 //! Table 5: communication traffic — message counts, update-related data,
 //! and protocol data — LRC versus HLRC.
 
-use svm_bench::{mb, run_sweep, Options, Table};
+use svm_bench::{cli, mb, run_sweep, Table};
 use svm_core::ProtocolName;
 use svm_machine::TrafficClass;
 
 fn main() {
-    let mut opts = Options::from_args();
+    let mut opts = cli::sweep_options();
     opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
     let records = run_sweep(&opts);
 

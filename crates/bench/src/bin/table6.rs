@@ -5,11 +5,11 @@
 //! effectively disabled here (as in the paper's measurement, which reports
 //! memory "if a garbage collection is triggered only at a barrier").
 
-use svm_bench::{mb, Options, Table};
+use svm_bench::{cli, mb, Table};
 use svm_core::{ProtocolName, SvmConfig};
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = cli::sweep_options();
     println!(
         "\nTable 6: memory requirements, worst node (scale {})\n",
         opts.scale

@@ -4,10 +4,11 @@
 //! Each `table*`/`fig*` binary runs the needed sweep and prints the rows
 //! the paper reports. Sweeps share [`run_sweep`] and the [`Options`]
 //! command line (`--scale`, `--nodes`, `--protocols`, `--paper`,
-//! `--apps`). Absolute numbers depend on the calibration (DESIGN.md §5);
+//! `--apps`, parsed by [`cli::sweep_options`]; bad input exits 2). Absolute numbers depend on the calibration (DESIGN.md §5);
 //! the *shapes* — who wins, by what factor, where crossovers fall — are
 //! the reproduction targets (EXPERIMENTS.md).
 
+pub mod cli;
 pub mod hist;
 pub mod json;
 pub mod parallel;
@@ -42,53 +43,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parse `--scale X | --paper | --nodes a,b | --protocols A,B |
-    /// --apps x,y` from the process arguments.
-    pub fn from_args() -> Self {
-        let mut o = Options::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--paper" => o.scale = 1.0,
-                "--scale" => {
-                    i += 1;
-                    o.scale = args[i].parse().expect("--scale takes a number");
-                }
-                "--nodes" => {
-                    i += 1;
-                    o.nodes = args[i]
-                        .split(',')
-                        .map(|s| s.parse().expect("--nodes takes a,b,c"))
-                        .collect();
-                }
-                "--protocols" => {
-                    i += 1;
-                    o.protocols = args[i]
-                        .split(',')
-                        .map(|s| match s.to_ascii_uppercase().as_str() {
-                            "LRC" => ProtocolName::Lrc,
-                            "OLRC" => ProtocolName::Olrc,
-                            "HLRC" => ProtocolName::Hlrc,
-                            "OHLRC" => ProtocolName::Ohlrc,
-                            "AURC" => ProtocolName::Aurc,
-                            other => panic!("unknown protocol {other}"),
-                        })
-                        .collect();
-                }
-                "--apps" => {
-                    i += 1;
-                    o.apps = args[i].split(',').map(|s| s.to_lowercase()).collect();
-                }
-                other => panic!(
-                    "unknown option {other} (try --scale/--paper/--nodes/--protocols/--apps)"
-                ),
-            }
-            i += 1;
-        }
-        o
-    }
-
     /// The selected workloads at the selected scale.
     pub fn suite(&self) -> Vec<Box<dyn Benchmark>> {
         paper_suite(self.scale)

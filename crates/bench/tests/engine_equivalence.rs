@@ -1,29 +1,38 @@
-//! Sequential equivalence: the optimized engine (slab events, pooled
-//! buffers, recycled service segments, shared `Rc` clocks) must produce
-//! virtual-time results **bit-identical** to the legacy
-//! allocation-per-event engine it replaced.
+//! Engine pin: the scheduler, pools and shared clocks must keep producing
+//! virtual-time results **bit-identical** to the committed
+//! `results/engine_fingerprints.txt`.
 //!
-//! Each variant runs in its own freshly spawned thread with both
-//! per-thread engine overrides forced (`svm_sim::engine::set_thread_engine`
-//! and `svm_mem::pool::set_thread_engine`) — the knobs are thread-local,
-//! so a dedicated thread guarantees the whole run, including scheduler
-//! and pool construction, sees one consistent engine choice. Every
-//! fingerprint component that `perf --out` records is compared: total
-//! virtual time, events executed, traffic message/byte totals, and the
-//! application checksum.
+//! Those fingerprints were recorded on the historical allocation-per-event
+//! engine, which the optimized engine matched cell for cell before the old
+//! path was deleted. Every fingerprint component that `perf --out` records
+//! is compared: total virtual time, events executed, traffic message/byte
+//! totals, and the application checksum.
 
-use svm_bench::{run_sweep_serial, Options, Record};
+use svm_bench::{run_sweep_serial, Options};
 use svm_core::ProtocolName;
 
-/// Everything that must be bit-identical between the two engines, per
-/// run, in canonical sweep order.
-fn fingerprint(records: &[Record]) -> Vec<(String, u64, u64, u64, u64, u64)> {
-    records
+const PINNED: &str = include_str!("../../../results/engine_fingerprints.txt");
+
+/// All four protocols, two workloads with different sharing patterns
+/// (SOR: migratory rows; Water-Nsquared: the homeless diff-store stress),
+/// at a small and a paper-scale node count. 16 cells.
+#[test]
+fn sweep_matches_pinned_engine_fingerprints() {
+    let opts = Options {
+        scale: 0.03,
+        nodes: vec![4, 64],
+        protocols: ProtocolName::ALL.to_vec(),
+        apps: vec!["sor".into(), "water-n".into()],
+    };
+    let got: Vec<String> = run_sweep_serial(&opts)
         .iter()
         .map(|r| {
             let traffic = r.run.report.outcome.traffic.grand_total();
-            (
-                format!("{}/{}/{}", r.app, r.protocol.label(), r.nodes),
+            format!(
+                "{}/{}/{} total_ns={} events={} messages={} bytes={} checksum={}",
+                r.app,
+                r.protocol.label(),
+                r.nodes,
                 r.run.report.outcome.total_time.as_nanos(),
                 r.run.report.outcome.events_executed,
                 traffic.messages,
@@ -31,40 +40,14 @@ fn fingerprint(records: &[Record]) -> Vec<(String, u64, u64, u64, u64, u64)> {
                 r.run.checksum,
             )
         })
-        .collect()
-}
-
-/// Run the sweep on a dedicated thread pinned to one engine.
-fn sweep_on_engine(opts: &Options, legacy: bool) -> Vec<(String, u64, u64, u64, u64, u64)> {
-    let opts = opts.clone();
-    std::thread::spawn(move || {
-        svm_sim::engine::set_thread_engine(legacy);
-        svm_mem::pool::set_thread_engine(legacy);
-        fingerprint(&run_sweep_serial(&opts))
-    })
-    .join()
-    .expect("sweep thread must not panic")
-}
-
-/// All four protocols, two workloads with different sharing patterns
-/// (SOR: migratory rows; Water-Nsquared: the homeless diff-store stress),
-/// at a small and a paper-scale node count. 16 cells per engine.
-#[test]
-fn legacy_and_optimized_engines_agree_bit_for_bit() {
-    let opts = Options {
-        scale: 0.03,
-        nodes: vec![4, 64],
-        protocols: ProtocolName::ALL.to_vec(),
-        apps: vec!["sor".into(), "water-n".into()],
-    };
-    let legacy = sweep_on_engine(&opts, true);
-    let optimized = sweep_on_engine(&opts, false);
-    assert_eq!(legacy.len(), optimized.len(), "cell counts must match");
-    for (l, o) in legacy.iter().zip(optimized.iter()) {
-        assert_eq!(
-            l, o,
-            "engine divergence at {}: legacy {:?} vs optimized {:?}",
-            l.0, l, o
-        );
+        .collect();
+    let want: Vec<&str> = PINNED
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert_eq!(want.len(), 16, "pin file must hold all 16 cells");
+    assert_eq!(got.len(), want.len(), "cell counts must match");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "engine divergence from the pinned fingerprint");
     }
 }

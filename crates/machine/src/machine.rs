@@ -293,8 +293,7 @@ pub struct Machine<A: Agent> {
     /// points with coincidentally equal protocol state apart.
     progress: Vec<u64>,
     /// Recycled segment vectors for [`Ctx`]; every handler invocation takes
-    /// one here instead of allocating. Bounded, and empty in legacy-engine
-    /// mode (see `svm_sim::engine`).
+    /// one here instead of allocating. Bounded.
     seg_pool: Vec<Vec<(SimDuration, Category)>>,
 }
 
@@ -401,13 +400,10 @@ impl<A: Agent> Machine<A> {
         self.seg_pool.pop().unwrap_or_default()
     }
 
-    /// Return a drained segment vector to the pool. No-op in legacy-engine
-    /// mode, when the vector never grew, or when the pool is full.
+    /// Return a drained segment vector to the pool. No-op when the vector
+    /// never grew or the pool is full.
     fn put_seg_vec(&mut self, mut v: Vec<(SimDuration, Category)>) {
-        if v.capacity() == 0
-            || self.seg_pool.len() >= MAX_POOLED_SEG_VECS
-            || svm_sim::engine::legacy_engine()
-        {
+        if v.capacity() == 0 || self.seg_pool.len() >= MAX_POOLED_SEG_VECS {
             return;
         }
         v.clear();

@@ -57,14 +57,11 @@ thread_local! {
 const MAX_POOLED_RUN_VECS: usize = 64;
 
 fn take_runs() -> Vec<RunRef> {
-    if pool::legacy_engine() {
-        return Vec::new();
-    }
     RUN_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
 }
 
 fn put_runs(mut v: Vec<RunRef>) {
-    if pool::legacy_engine() || v.capacity() == 0 {
+    if v.capacity() == 0 {
         return;
     }
     v.clear();
@@ -435,7 +432,6 @@ mod tests {
 
     #[test]
     fn recycled_buffers_do_not_leak_into_new_diffs() {
-        crate::pool::set_thread_engine(false);
         let twin = vec![0u8; 64];
         let d = Diff::create(&twin, &page(&[(0, 9), (32, 9)], 64));
         d.recycle();

@@ -9,10 +9,7 @@
 //! Storage is allocation-free on the hot path: closures small enough for a
 //! slot's inline buffer are written in place into a slab of reusable slots,
 //! and the priority queue is an index heap of `(time, seq, slot)` keys over
-//! that slab. Only oversized closures fall back to a `Box`. The
-//! `SVM_LEGACY_ENGINE` knob ([`crate::engine`]) forces the historical
-//! box-per-event behavior; both paths pop in identical `(time, seq)` order,
-//! which the sequential-equivalence suite pins.
+//! that slab. Only oversized closures fall back to a `Box`.
 
 use std::collections::BTreeSet;
 use std::mem::MaybeUninit;
@@ -81,19 +78,15 @@ enum Stored<W> {
         call: unsafe fn(*mut u8, &mut Scheduler<W>, &mut W),
         drop_fn: unsafe fn(*mut u8),
     },
-    /// Fallback for closures too big (or too aligned) for the buffer, and
-    /// the only representation under the legacy engine.
+    /// Fallback for closures too big (or too aligned) for the buffer.
     Boxed(EventFn<W>),
     /// Free slot (the closure was taken or never set).
     Empty,
 }
 
 impl<W> Stored<W> {
-    fn new<F: FnOnce(&mut Scheduler<W>, &mut W) + 'static>(f: F, legacy: bool) -> Stored<W> {
-        if legacy
-            || std::mem::size_of::<F>() > INLINE_BYTES
-            || std::mem::align_of::<F>() > INLINE_ALIGN
-        {
+    fn new<F: FnOnce(&mut Scheduler<W>, &mut W) + 'static>(f: F) -> Stored<W> {
+        if std::mem::size_of::<F>() > INLINE_BYTES || std::mem::align_of::<F>() > INLINE_ALIGN {
             return Stored::Boxed(Box::new(f));
         }
         unsafe fn call_impl<W, F: FnOnce(&mut Scheduler<W>, &mut W)>(
@@ -206,9 +199,6 @@ pub struct Scheduler<W> {
     free: Vec<u32>,
     cancelled: BTreeSet<u64>,
     executed: u64,
-    /// Box every closure (historical allocation behavior); see
-    /// [`crate::engine`].
-    legacy: bool,
 }
 
 impl<W> Default for Scheduler<W> {
@@ -228,7 +218,6 @@ impl<W> Scheduler<W> {
             free: Vec::new(),
             cancelled: BTreeSet::new(),
             executed: 0,
-            legacy: crate::engine::legacy_engine(),
         }
     }
 
@@ -264,7 +253,7 @@ impl<W> Scheduler<W> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let stored = Stored::new(f, self.legacy);
+        let stored = Stored::new(f);
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -591,23 +580,22 @@ mod tests {
         assert_eq!(w, 7 * 64);
     }
 
-    /// The legacy engine (forced boxing) pops in the identical order.
+    /// Equal-time events pop in schedule order: 20 events at times
+    /// `i % 5 + 1` come out grouped by time, each group in ascending `i`.
     #[test]
-    fn legacy_engine_matches_order() {
-        let run = |legacy: bool| {
-            crate::engine::set_thread_engine(legacy);
-            let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-            let mut w = Vec::new();
-            for i in 0..20u32 {
-                let t = u64::from(i % 5) + 1;
-                s.after(SimDuration::from_nanos(t), move |_, w: &mut Vec<u32>| {
-                    w.push(i)
-                });
-            }
-            s.run(&mut w);
-            crate::engine::set_thread_engine(false);
-            w
-        };
-        assert_eq!(run(false), run(true));
+    fn pop_order_is_time_then_schedule_order() {
+        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
+        let mut w = Vec::new();
+        for i in 0..20u32 {
+            let t = u64::from(i % 5) + 1;
+            s.after(SimDuration::from_nanos(t), move |_, w: &mut Vec<u32>| {
+                w.push(i)
+            });
+        }
+        s.run(&mut w);
+        assert_eq!(
+            w,
+            [0, 5, 10, 15, 1, 6, 11, 16, 2, 7, 12, 17, 3, 8, 13, 18, 4, 9, 14, 19]
+        );
     }
 }

@@ -4,7 +4,7 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example/bench compiles and the chaos matrix, but
+#   --fast skips the example/benchmark compiles and the chaos matrix, but
 #   always keeps the static analyzer, the crash-recovery smoke, and the
 #   consistency-check subset — the cheap gates that catch whole bug
 #   classes.
@@ -34,8 +34,8 @@ if [[ "$FAST" -eq 0 ]]; then
   echo "== examples compile (offline)"
   cargo build --examples
 
-  echo "== benches compile (offline)"
-  cargo build --benches
+  echo "== repository benchmark and its tests compile (offline)"
+  cargo test --release --manifest-path perfbench/Cargo.toml --no-run
 fi
 
 echo "== clippy, warnings denied (offline)"
