@@ -225,17 +225,22 @@ impl std::fmt::Display for CheckReport {
     }
 }
 
-/// Check one recorded execution against the LRC memory model.
+/// Check one recorded execution against the LRC memory model, in one
+/// pass over the trace.
 ///
-/// The replay runs twice. Race detection is symmetric, but the replay
-/// linearization is not: a read racing with a write that happens to be
-/// *later* in the linearization is only discovered when that write is
-/// processed — too late to excuse the read from the value check in the
-/// same pass. Pass one therefore collects the full set of racy read
-/// identities (replay is deterministic, so read ordinals are stable);
-/// pass two re-checks values with that set excluded up front.
+/// Race detection is symmetric, but the replay linearization is not: a
+/// read racing with a write that happens to be *later* in the
+/// linearization is only discovered when that write is processed. So the
+/// verdict on each read's value is *deferred*: a failed value check is
+/// kept pending under the read's identity and dropped at the end if any
+/// write, earlier or later, races the read. The result is exactly the
+/// report of a checker that knew every racy read up front.
+///
+/// Accesses that happen-before every future access of every other node
+/// are *retired* from the race scans at barrier departures (see
+/// [`mod@replay`]); they can never race again, so retirement changes no
+/// verdict. Counterexample anchors come from a full per-page write
+/// history and are likewise unaffected.
 pub fn check_trace(trace: &AccessTrace) -> CheckReport {
-    let (_, racy) = replay::Replay::new(trace, std::collections::HashSet::new()).run();
-    let (report, _) = replay::Replay::new(trace, racy).run();
-    report
+    replay::Replay::new(trace).run()
 }

@@ -15,14 +15,29 @@
 //! node's clock into the round, barrier leave joins the fully-folded round
 //! clock. Two accesses are then HB-ordered iff the later episode's clock
 //! covers the earlier episode's own component — the classic epoch test.
+//!
+//! The replay is a single pass. Between events, a node's current episode
+//! clock equals `node_vc[n]`, and every later episode of `n` dominates it.
+//! So after each barrier departure the pointwise frontier
+//! `frontier[a] = min over m != a of node_vc[m][a]` bounds what every
+//! other node already knows of node `a`: an access of `a` with own clock
+//! component at most `frontier[a]` happens-before every future access of
+//! every other node and can never race again. When the frontier moves the
+//! memory model retires those accesses (`Memory::retire`), which keeps
+//! the race scans to the accesses since roughly the last barrier instead
+//! of the whole trace. Crashed or finished nodes stay in the minimum;
+//! their frozen clocks only hold the frontier back, which is conservative.
+//! Structurally impossible events (an access outside the image, a barrier
+//! round out of order, a lock sequence 0, a vector time of the wrong
+//! width) are reported as [`Violation::MalformedTrace`], never a panic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use svm_core::{AccessTrace, TraceEvent, VectorTime};
 use svm_machine::NodeId;
 use svm_sim::SimTime;
 
-use crate::model::{Memory, ReadId};
+use crate::model::Memory;
 use crate::{CheckReport, Violation};
 
 /// Interned episode clocks and start times, shared with the memory model.
@@ -34,13 +49,6 @@ pub(crate) struct EpCtx {
 }
 
 impl EpCtx {
-    /// Does the access in episode `a_ep` (on `a_node`) happen-before one
-    /// in episode `b_ep`? (True also for `a_ep == b_ep` and same-node
-    /// program order.)
-    pub fn hb(&self, a_ep: u32, a_node: u16, b_ep: u32) -> bool {
-        self.vcs[b_ep as usize][a_node as usize] >= self.vcs[a_ep as usize][a_node as usize]
-    }
-
     /// The virtual time an episode started at.
     pub fn time(&self, ep: u32) -> SimTime {
         self.times[ep as usize]
@@ -75,10 +83,12 @@ pub(crate) struct Replay<'t> {
     /// its `BarrierEnter` of `round`): a crashed node is excused from every
     /// round it had not entered.
     entered_rounds: Vec<u64>,
+    /// The retirement frontier last applied (see the module docs).
+    frontier: Vec<u32>,
 }
 
 impl<'t> Replay<'t> {
-    pub fn new(trace: &'t AccessTrace, known_racy: HashSet<ReadId>) -> Self {
+    pub fn new(trace: &'t AccessTrace) -> Self {
         let nodes = trace.nodes;
         let mut ctx = EpCtx {
             vcs: Vec::new(),
@@ -98,7 +108,7 @@ impl<'t> Replay<'t> {
             node_vc.push(vc);
         }
         Replay {
-            mem: Memory::new(trace, known_racy),
+            mem: Memory::new(trace),
             cur_ep,
             node_vc,
             last_vt: vec![None; nodes],
@@ -107,12 +117,13 @@ impl<'t> Replay<'t> {
             rounds: Vec::new(),
             crashed: vec![false; nodes],
             entered_rounds: vec![0; nodes],
+            frontier: vec![0; nodes],
             trace,
             ctx,
         }
     }
 
-    pub fn run(mut self) -> (CheckReport, HashSet<ReadId>) {
+    pub fn run(mut self) -> CheckReport {
         let nodes = self.trace.nodes;
         let mut pos = vec![0usize; nodes];
         if self.trace.events.len() != nodes {
@@ -162,11 +173,11 @@ impl<'t> Replay<'t> {
         self.finish()
     }
 
-    fn finish(self) -> (CheckReport, HashSet<ReadId>) {
-        let (mut report, racy) = self.mem.into_report();
+    fn finish(self) -> CheckReport {
+        let mut report = self.mem.into_report();
         report.nodes = self.trace.nodes;
         report.episodes = self.ctx.vcs.len();
-        (report, racy)
+        report
     }
 
     /// Is this event's HB gate open?
@@ -177,8 +188,9 @@ impl<'t> Replay<'t> {
     /// rule pins this.
     fn ready(&self, ev: &TraceEvent) -> bool {
         match ev {
+            // Sequence 0 is malformed; `process` reports it.
             TraceEvent::Acquire { lock, seq, .. } => {
-                *seq == 1 || self.released.get(lock).copied().unwrap_or(0) >= seq - 1
+                *seq <= 1 || self.released.get(lock).copied().unwrap_or(0) >= seq - 1
             }
             TraceEvent::BarrierLeave { round, .. } => {
                 self.rounds.get(*round as usize).is_some_and(|r| {
@@ -219,8 +231,14 @@ impl<'t> Replay<'t> {
                     self.mem.write(&self.ctx, n as u16, ep, *page, *off, bytes);
                 }
             }
-            TraceEvent::Acquire { lock, vt, at, .. } => {
+            TraceEvent::Acquire { lock, seq, vt, at } => {
                 self.check_vt(n, vt, *at);
+                if *seq == 0 {
+                    self.mem.violation(Violation::MalformedTrace {
+                        reason: format!("node {n} acquired lock {lock} with sequence 0"),
+                    });
+                    return;
+                }
                 if let Some(lvc) = self.lock_vc.get(lock) {
                     merge(&mut self.node_vc[n], lvc);
                 }
@@ -241,7 +259,16 @@ impl<'t> Replay<'t> {
             } => {
                 self.check_vt(n, vt, *at);
                 let r = *round as usize;
-                debug_assert!(r <= self.rounds.len(), "rounds are entered in order");
+                if r > self.rounds.len() {
+                    self.mem.violation(Violation::MalformedTrace {
+                        reason: format!(
+                            "node {n} entered barrier {barrier} in round {round} \
+                             before anyone entered round {}",
+                            self.rounds.len()
+                        ),
+                    });
+                    return;
+                }
                 if r == self.rounds.len() {
                     self.rounds.push(Round {
                         barrier: *barrier,
@@ -269,6 +296,7 @@ impl<'t> Replay<'t> {
                 let rvc = self.rounds[*round as usize].vc.clone();
                 merge(&mut self.node_vc[n], &rvc);
                 self.new_episode(n, *at);
+                self.retire();
             }
             TraceEvent::IntervalEnd { vt, at, .. } => {
                 // Informational: only the vector-time sanity check applies.
@@ -284,8 +312,19 @@ impl<'t> Replay<'t> {
         }
     }
 
-    /// Recorded vector times must be componentwise non-decreasing per node.
+    /// Recorded vector times must have one component per node and be
+    /// componentwise non-decreasing per node.
     fn check_vt(&mut self, n: usize, vt: &VectorTime, at: SimTime) {
+        if vt.len() != self.trace.nodes {
+            self.mem.violation(Violation::MalformedTrace {
+                reason: format!(
+                    "node {n} recorded a {}-component vector time at {at} for {} nodes",
+                    vt.len(),
+                    self.trace.nodes
+                ),
+            });
+            return;
+        }
         if let Some(prev) = &self.last_vt[n] {
             let regressed = (0..self.trace.nodes)
                 .any(|i| vt.get(NodeId(i as u16)) < prev.get(NodeId(i as u16)));
@@ -295,6 +334,27 @@ impl<'t> Replay<'t> {
             }
         }
         self.last_vt[n] = Some(vt.clone());
+    }
+
+    /// Advance the retirement frontier and, if it moved, retire the live
+    /// accesses it now covers.
+    fn retire(&mut self) {
+        let nodes = self.trace.nodes;
+        let mut moved = false;
+        for a in 0..nodes {
+            let known = (0..nodes)
+                .filter(|&m| m != a)
+                .map(|m| self.node_vc[m][a])
+                .min()
+                .unwrap_or(u32::MAX);
+            if known > self.frontier[a] {
+                self.frontier[a] = known;
+                moved = true;
+            }
+        }
+        if moved {
+            self.mem.retire(&self.frontier);
+        }
     }
 
     /// Bump the node's own component and intern a fresh episode.

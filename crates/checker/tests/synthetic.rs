@@ -277,3 +277,152 @@ fn regressing_vector_time_is_flagged() {
         "{r}"
     );
 }
+
+#[test]
+fn later_linearized_write_makes_an_earlier_read_racy() {
+    // Node 0's read replays before node 1's unsynchronized write, so the
+    // read is value checked against the initial zeros and fails; the
+    // write then races it retroactively, which must excuse it.
+    let t = trace(
+        2,
+        vec![vec![read(0, 0, &[5u8; 4])], vec![write(0, 0, &[5u8; 4])]],
+    );
+    let r = check_trace(&t);
+    assert_eq!(r.violations_total, 0, "{r}");
+    assert_eq!(r.racy_reads, 1, "{r}");
+    assert_eq!(r.race_pairs, 1, "{r}");
+}
+
+#[test]
+fn barrier_retirement_keeps_accesses_that_can_still_race() {
+    // Node 1's departure retires what every node has seen, but node 0's
+    // post-barrier write and node 1's post-barrier read are unordered.
+    let t = trace(
+        2,
+        vec![
+            vec![
+                barrier_enter(2, 0, 10),
+                barrier_leave(2, 0, 20),
+                write(0, 0, &[3u8; 4]),
+            ],
+            vec![
+                barrier_enter(2, 0, 10),
+                barrier_leave(2, 0, 20),
+                read(0, 0, &[0u8; 4]),
+            ],
+        ],
+    );
+    let r = check_trace(&t);
+    assert_eq!(r.race_pairs, 1, "{r}");
+    assert_eq!(r.racy_reads, 1, "{r}");
+    assert_eq!(r.violations_total, 0, "{r}");
+}
+
+#[test]
+fn retirement_keeps_a_write_just_past_the_frontier() {
+    // Node 0 writes between entering and leaving the barrier, so the
+    // round publishes its clock only up to the write's predecessor; the
+    // frontier stops exactly one tick short of the write, which node 1's
+    // post-barrier read therefore still races.
+    let t = trace(
+        2,
+        vec![
+            vec![
+                barrier_enter(2, 0, 10),
+                write(0, 0, &[3u8; 4]),
+                barrier_leave(2, 0, 20),
+            ],
+            vec![
+                barrier_enter(2, 0, 10),
+                barrier_leave(2, 0, 20),
+                read(0, 0, &[0u8; 4]),
+            ],
+        ],
+    );
+    let r = check_trace(&t);
+    assert_eq!(r.race_pairs, 1, "{r}");
+    assert_eq!(r.racy_reads, 1, "{r}");
+}
+
+#[test]
+fn counterexample_names_a_writer_retired_before_the_read() {
+    // Node 0's write (in the episode its acquire at 5 us opened) is
+    // retired when the barrier departs; node 1's stale read after the
+    // barrier must still name it as the last visible write.
+    let t = trace(
+        2,
+        vec![
+            vec![
+                acquire(2, 1, 1, 5),
+                write(0, 8, &[7u8; 4]),
+                release(2, 1, 1, 6),
+                barrier_enter(2, 0, 10),
+                barrier_leave(2, 0, 20),
+            ],
+            vec![
+                barrier_enter(2, 0, 10),
+                barrier_leave(2, 0, 20),
+                read(0, 8, &[0u8; 4]),
+            ],
+        ],
+    );
+    let r = check_trace(&t);
+    assert_eq!(r.violations_total, 1, "{r}");
+    match &r.violations[0] {
+        Violation::ReadValue {
+            node, last_write, ..
+        } => {
+            assert_eq!(*node, 1);
+            assert_eq!(*last_write, Some((0, at(5))), "names the retired writer");
+        }
+        v => panic!("unexpected violation {v}"),
+    }
+}
+
+/// The trace is reported malformed, not a panic.
+fn assert_malformed(t: &AccessTrace) {
+    let r = check_trace(t);
+    assert!(
+        r.violations
+            .iter()
+            .any(|v| matches!(v, Violation::MalformedTrace { .. })),
+        "{r}: {:?}",
+        r.violations
+    );
+}
+
+#[test]
+fn access_past_the_last_page_is_malformed() {
+    assert_malformed(&trace(1, vec![vec![read(2, 0, &[0u8; 4])]]));
+}
+
+#[test]
+fn read_past_the_page_end_is_malformed() {
+    assert_malformed(&trace(1, vec![vec![read(0, 62, &[0u8; 4])]]));
+}
+
+#[test]
+fn write_past_the_page_end_is_malformed() {
+    assert_malformed(&trace(1, vec![vec![write(1, 60, &[1u8; 8])]]));
+}
+
+#[test]
+fn barrier_round_gap_is_malformed() {
+    // Round 2 entered before anyone entered rounds 0 and 1.
+    assert_malformed(&trace(1, vec![vec![barrier_enter(1, 2, 10)]]));
+}
+
+#[test]
+fn short_vector_time_is_malformed() {
+    // One-component vector times in a two-node trace: the second is
+    // compared against the first, component by component.
+    assert_malformed(&trace(
+        2,
+        vec![vec![release(1, 0, 1, 10), release(1, 0, 2, 20)], vec![]],
+    ));
+}
+
+#[test]
+fn lock_sequence_zero_is_malformed() {
+    assert_malformed(&trace(1, vec![vec![acquire(1, 3, 0, 10)]]));
+}

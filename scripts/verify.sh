@@ -34,8 +34,8 @@ if [[ "$FAST" -eq 0 ]]; then
   echo "== examples compile (offline)"
   cargo build --examples
 
-  echo "== repository benchmark and its tests compile (offline)"
-  cargo test --release --manifest-path perfbench/Cargo.toml --no-run
+  echo "== repository benchmark tests: every workload at tiny size, the seeded-bug check, the Table 2 pins (offline)"
+  cargo test --release --manifest-path perfbench/Cargo.toml
 fi
 
 echo "== clippy, warnings denied (offline)"
