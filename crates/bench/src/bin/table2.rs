@@ -1,6 +1,6 @@
 //! Table 2: speedups for all four protocols at each machine size.
 
-use svm_bench::{cli, index, run_sweep, Table};
+use svm_bench::{apps, cli, index, run_sweep, Table};
 
 fn main() {
     let opts = cli::sweep_options();
@@ -18,16 +18,7 @@ fn main() {
         }
     }
     let mut t = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-    let apps: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.app) {
-                seen.push(r.app);
-            }
-        }
-        seen
-    };
-    for app in apps {
+    for app in apps(&records) {
         let mut row = vec![app.to_string()];
         for &n in &opts.nodes {
             for p in &opts.protocols {

@@ -1,7 +1,7 @@
 //! Table 5: communication traffic — message counts, update-related data,
 //! and protocol data — LRC versus HLRC.
 
-use svm_bench::{cli, mb, run_sweep, Table};
+use svm_bench::{apps, cli, mb, run_sweep, Table};
 use svm_core::ProtocolName;
 use svm_machine::TrafficClass;
 
@@ -21,16 +21,7 @@ fn main() {
         "Proto MB LRC",
         "Proto MB HLRC",
     ]);
-    let apps: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.app) {
-                seen.push(r.app);
-            }
-        }
-        seen
-    };
-    for app in apps {
+    for app in apps(&records) {
         for &n in &opts.nodes {
             let get = |p: ProtocolName| {
                 records
@@ -43,10 +34,7 @@ fn main() {
             t.row(vec![
                 app.into(),
                 n.to_string(),
-                tr(lrc, TrafficClass::Data)
-                    .messages
-                    .checked_add(tr(lrc, TrafficClass::Protocol).messages)
-                    .unwrap()
+                (tr(lrc, TrafficClass::Data).messages + tr(lrc, TrafficClass::Protocol).messages)
                     .to_string(),
                 (tr(hlrc, TrafficClass::Data).messages + tr(hlrc, TrafficClass::Protocol).messages)
                     .to_string(),

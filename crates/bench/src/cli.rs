@@ -17,13 +17,14 @@
 //!
 //! `-h`/`--help` prints the usage line to stdout and exits 0. Malformed
 //! input — an unknown flag, a missing value, an unparsable number,
-//! `--nodes` outside 1..=65535, a non-finite or non-positive `--scale` —
-//! prints the problem and the usage line to stderr and exits 2 before any
-//! run starts.
+//! `--nodes` outside 1..=65535, a non-finite or non-positive `--scale`, an
+//! `--apps` entry that names no workload — prints the problem and the usage
+//! line to stderr and exits 2 before any run starts.
 
 use std::fmt::Display;
 use std::str::FromStr;
 
+use svm_apps::paper_suite;
 use svm_core::ProtocolName;
 
 use crate::Options;
@@ -156,6 +157,19 @@ pub fn sweep_options() -> Options {
             "--apps" => o.apps = args.string().split(',').map(str::to_lowercase).collect(),
             _ => args.unknown(),
         }
+    }
+    // An entry that selects nothing would print an empty table and exit 0.
+    let suite = paper_suite(o.scale);
+    if let Some(a) = o
+        .apps
+        .iter()
+        .find(|a| !suite.iter().any(|b| crate::selects(a, b.name())))
+    {
+        let names: Vec<&str> = suite.iter().map(|b| b.name()).collect();
+        args.fail(format_args!(
+            "--apps {a:?} matches no workload (one of: {})",
+            names.join(", ")
+        ));
     }
     o
 }

@@ -1,10 +1,10 @@
-//! Minimal hand-rolled JSON support for the perf baseline file.
+//! Minimal hand-rolled JSON support for the serve matrix file.
 //!
-//! The workspace is hermetic (no registry crates), so `--bin perf` needs
-//! its own writer to emit `BENCH_svm.json` and its own parser so
-//! `scripts/verify.sh` can gate on the file being well-formed. This is a
-//! deliberately small dialect: objects, arrays, strings, finite numbers,
-//! booleans, null — everything the baseline format uses, nothing more.
+//! The workspace is hermetic (no registry crates), so `--bin serve` needs
+//! its own writer to emit its `svm-serve-v1` matrix and its own parser to
+//! re-check what it wrote before it lands on disk. This is a deliberately
+//! small dialect: objects, arrays, strings, finite numbers, booleans,
+//! null — everything that format uses, nothing more.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -47,22 +47,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -319,19 +303,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_the_baseline_shape() {
+    fn roundtrips_the_serve_matrix_shape() {
         let doc = Json::obj([
-            ("schema", Json::str("svm-perf-v1")),
-            ("cores", Json::int(4)),
-            ("speedup", Json::Num(2.5)),
+            ("schema", Json::str("svm-serve-v1")),
+            ("nodes", Json::int(8)),
             (
-                "stages",
+                "cells",
                 Json::Arr(vec![Json::obj([
-                    ("name", Json::str("sweep_parallel")),
-                    ("wall_ms", Json::Num(12.25)),
+                    ("service", Json::str("kv")),
+                    ("mean_ns", Json::Num(12.25)),
                 ])]),
             ),
-            ("identical", Json::Bool(true)),
+            ("fast", Json::Bool(true)),
             ("missing", Json::Null),
         ]);
         let text = doc.pretty();

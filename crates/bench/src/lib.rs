@@ -47,15 +47,15 @@ impl Options {
     pub fn suite(&self) -> Vec<Box<dyn Benchmark>> {
         paper_suite(self.scale)
             .into_iter()
-            .filter(|b| {
-                self.apps.is_empty()
-                    || self
-                        .apps
-                        .iter()
-                        .any(|a| b.name().to_lowercase().contains(a))
-            })
+            .filter(|b| self.apps.is_empty() || self.apps.iter().any(|a| selects(a, b.name())))
             .collect()
     }
+}
+
+/// Whether the lowercase `--apps` entry `filter` selects the workload
+/// named `name`: a case-insensitive substring match.
+fn selects(filter: &str, name: &str) -> bool {
+    name.to_lowercase().contains(filter)
 }
 
 /// One sweep cell.
@@ -86,7 +86,8 @@ pub fn run_sweep(opts: &Options) -> Vec<Record> {
 }
 
 /// The serial sweep: same cells, same order, one at a time on the calling
-/// thread. Kept as the wall-clock baseline for `--bin perf`.
+/// thread. The baseline of the serial-versus-parallel identity and speedup
+/// gates in `tests/engine_equivalence.rs`.
 pub fn run_sweep_serial(opts: &Options) -> Vec<Record> {
     run_sweep_with(opts, 1)
 }
@@ -121,6 +122,17 @@ pub fn run_sweep_with(opts: &Options, threads: usize) -> Vec<Record> {
             run,
         }
     })
+}
+
+/// The workloads of `records`, each once, in first-seen (sweep) order.
+pub fn apps(records: &[Record]) -> Vec<&'static str> {
+    let mut seen = Vec::new();
+    for r in records {
+        if !seen.contains(&r.app) {
+            seen.push(r.app);
+        }
+    }
+    seen
 }
 
 /// Index records by `(app, nodes, protocol)`.

@@ -13,7 +13,8 @@
 //! Worker count: `SVM_BENCH_THREADS` if set, else the machine's available
 //! parallelism, always clamped to the job count. `threads <= 1` runs the
 //! jobs inline on the calling thread with no pool at all, which keeps the
-//! serial path available for speedup baselines (`--bin perf`).
+//! serial path available as the baseline of the identity and speedup gates
+//! in `tests/engine_equivalence.rs`.
 //!
 //! Memory behavior: the engine's scratch arenas (`svm_mem::pool` byte
 //! vectors, the machine's service-segment vectors, the scheduler's event

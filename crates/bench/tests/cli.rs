@@ -14,12 +14,13 @@ fn run(bin: &str, args: &[&str]) -> Output {
 #[test]
 fn malformed_arguments_exit_2_with_usage() {
     let table2 = env!("CARGO_BIN_EXE_table2");
-    let cases: [(&str, &[&str]); 7] = [
+    let cases: [(&str, &[&str]); 8] = [
         (table2, &["--nodes", "0"]),
         (table2, &["--nodes"]),
         (table2, &["--scale", "-1"]),
         (table2, &["--scale", "nan"]),
         (table2, &["--protocols", "XYZ"]),
+        (table2, &["--apps", "nosuch"]),
         (env!("CARGO_BIN_EXE_chaos"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_explore"), &["--fsat"]),
     ];

@@ -3,7 +3,7 @@
 //! Diff creation, twin capture, and page-reply marshalling all need
 //! short-lived byte buffers on the sweep hot path. Allocating each one
 //! fresh made the engine allocation-bound (~4M run/twin vectors per
-//! `perf` sweep); instead, finished buffers are returned here and handed
+//! 60-cell sweep); instead, finished buffers are returned here and handed
 //! back out cleared. Pools are per-thread (simulation runs are
 //! single-threaded; parallel sweeps get one pool per worker, which is the
 //! per-worker arena reuse of `svm_bench::parallel`) and bounded in both

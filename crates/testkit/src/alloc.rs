@@ -1,7 +1,10 @@
-//! A counting global allocator for peak-memory baselines.
+//! A counting global allocator for allocation budgets and peak memory.
 //!
-//! `BENCH_svm.json` records a peak-RSS proxy; the portable, hermetic way
-//! to get one is to count allocations ourselves. A binary opts in with
+//! The repository benchmark (`perfbench/`) records a peak-RSS proxy and
+//! per-workload allocation counts, and the pinned sweep test
+//! (`crates/bench/tests/engine_equivalence.rs`) gates the serial sweep's
+//! allocation count against a recorded budget; the portable, hermetic way
+//! to get either is to count allocations ourselves. A binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]

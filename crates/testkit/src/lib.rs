@@ -13,8 +13,9 @@
 //!   default seed from the property name, runs `TESTKIT_CASES` generated
 //!   cases (64 by default), and on failure greedily shrinks the recorded
 //!   choice sequence and prints the seed that reproduces the run.
-//! * [`bench`] — a std-only timing harness with a criterion-like surface
-//!   for the `crates/bench` micro-benchmarks.
+//! * [`bench`] — the wall-clock [`Stopwatch`](bench::Stopwatch), the one
+//!   sanctioned `Instant::now` for host-side stage timing.
+//! * [`alloc`] — a counting global allocator for allocation budgets.
 //!
 //! # Writing a property
 //!
