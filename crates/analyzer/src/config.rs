@@ -13,8 +13,10 @@ pub struct Config {
     /// code): iteration order must not be able to affect results.
     pub hash_ban_paths: Vec<String>,
     /// Wall-clock sources (`Instant::now`, `SystemTime`, `thread::sleep`,
-    /// `process::id`) are banned everywhere EXCEPT these prefixes (the
-    /// host-side bench timer, and the analyzer's own rule tables).
+    /// `process::id`) are banned everywhere EXCEPT these prefixes: the
+    /// host-side timers (`crates/testkit`, and the repository benchmark
+    /// `perfbench`, which times simulations from outside and never feeds a
+    /// clock reading into one) and the analyzer's own rule tables.
     pub wallclock_exempt_paths: Vec<String>,
     /// `unwrap()`/`expect(`/`panic!`/`unreachable!` need an
     /// `// INVARIANT:` annotation under these prefixes.
@@ -45,7 +47,11 @@ impl Config {
                 "crates/sim".into(),
                 "crates/machine".into(),
             ],
-            wallclock_exempt_paths: vec!["crates/testkit".into(), "crates/analyzer".into()],
+            wallclock_exempt_paths: vec![
+                "crates/testkit".into(),
+                "perfbench".into(),
+                "crates/analyzer".into(),
+            ],
             panic_paths: vec!["crates/core/src/protocol/".into()],
             totality_enums: vec!["SvmReq".into(), "SvmMsg".into(), "Wire".into()],
             totality_match_paths: vec!["crates/core/src".into()],

@@ -53,8 +53,15 @@ fn determinism_flags_wall_clock_everywhere_non_exempt() {
     expect_hit(&findings, "determinism", 3);
     expect_hit(&findings, "determinism", 4);
     expect_hit(&findings, "determinism", 5);
-    // The bench-timer crate is exempt by config.
+    // The host-side timers (the bench-timer crate, the repository
+    // benchmark) are exempt by config; the report binaries are not.
     assert!(analyze_one("crates/testkit/src/foo.rs", src).is_empty());
+    assert!(analyze_one("perfbench/src/foo.rs", src).is_empty());
+    expect_hit(
+        &analyze_one("crates/bench/src/bin/foo.rs", src),
+        "determinism",
+        2,
+    );
 }
 
 #[test]

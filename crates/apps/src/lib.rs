@@ -84,6 +84,34 @@ pub fn paper_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
+/// The five paper workloads at a given problem scale with result
+/// verification switched on: each run checks its result against the
+/// sequential reference checksum.
+pub fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
+    vec![
+        Box::new(lu::Lu {
+            verify: true,
+            ..lu::Lu::scaled(scale)
+        }),
+        Box::new(sor::Sor {
+            verify: true,
+            ..sor::Sor::scaled(scale)
+        }),
+        Box::new(water_ns::WaterNsq {
+            verify: true,
+            ..water_ns::WaterNsq::scaled(scale)
+        }),
+        Box::new(water_sp::WaterSp {
+            verify: true,
+            ..water_sp::WaterSp::scaled(scale)
+        }),
+        Box::new(raytrace::Raytrace {
+            verify: true,
+            ..raytrace::Raytrace::scaled(scale)
+        }),
+    ]
+}
+
 /// FNV-1a digest helper for checksums.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;

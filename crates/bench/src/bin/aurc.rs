@@ -7,47 +7,37 @@
 //! for less traffic. "The major tradeoff between AURC and LRC is between
 //! bandwidth and protocol overhead."
 
-use svm_bench::{cli, mb, Table};
-use svm_core::{ProtocolName, SvmConfig};
+use svm_bench::cli::{self, Flag};
+use svm_bench::{mb, pct, Record, Table};
+use svm_core::{ProtocolName, RunReport};
 use svm_machine::{Category, TrafficClass};
 
+/// The report of the row's cell `v` (0 HLRC, 1 AURC).
+fn report(row: &[Record], v: usize) -> &RunReport {
+    &row[v].run.report
+}
+
+fn proto_pct(row: &[Record], v: usize) -> String {
+    pct(&report(row, v).avg_breakdown(), Category::Protocol)
+}
+
+fn update_mb(row: &[Record], v: usize) -> String {
+    let data = report(row, v).outcome.traffic.total(TrafficClass::Data);
+    mb(data.bytes)
+}
+
 fn main() {
-    let mut opts = cli::sweep_options();
-    opts.protocols = vec![ProtocolName::Hlrc, ProtocolName::Aurc];
+    let opts = cli::sweep_options(&[Flag::Scale, Flag::Nodes, Flag::Apps]);
     println!("\nAURC vs HLRC (scale {})\n", opts.scale);
-    let mut t = Table::new(&[
-        "Application",
-        "Nodes",
-        "T HLRC s",
-        "T AURC s",
-        "Proto% HLRC",
-        "Proto% AURC",
-        "Update MB HLRC",
-        "Update MB AURC",
-    ]);
-    for bench in opts.suite() {
-        for &nodes in &opts.nodes {
-            let get = |p: ProtocolName| {
-                eprintln!("running {} under {p} x{nodes}...", bench.name());
-                bench.run(&SvmConfig::new(p, nodes)).report
-            };
-            let h = get(ProtocolName::Hlrc);
-            let a = get(ProtocolName::Aurc);
-            let proto_pct = |r: &svm_core::RunReport| {
-                let b = r.avg_breakdown();
-                b[Category::Protocol].as_secs_f64() / b.total().as_secs_f64() * 100.0
-            };
-            t.row(vec![
-                bench.name().into(),
-                nodes.to_string(),
-                format!("{:.3}", h.secs()),
-                format!("{:.3}", a.secs()),
-                format!("{:.1}", proto_pct(&h)),
-                format!("{:.1}", proto_pct(&a)),
-                mb(h.outcome.traffic.total(TrafficClass::Data).bytes),
-                mb(a.outcome.traffic.total(TrafficClass::Data).bytes),
-            ]);
-        }
-    }
-    t.print();
+    let records = opts.sweep([ProtocolName::Hlrc, ProtocolName::Aurc]).run();
+    Table::new()
+        .col("Application", |row: &[Record]| row[0].app.into())
+        .col("Nodes", |row| row[0].nodes.to_string())
+        .col("T HLRC s", |row| format!("{:.3}", report(row, 0).secs()))
+        .col("T AURC s", |row| format!("{:.3}", report(row, 1).secs()))
+        .col("Proto% HLRC", |row| proto_pct(row, 0))
+        .col("Proto% AURC", |row| proto_pct(row, 1))
+        .col("Update MB HLRC", |row| update_mb(row, 0))
+        .col("Update MB AURC", |row| update_mb(row, 1))
+        .print(records.chunks(2));
 }

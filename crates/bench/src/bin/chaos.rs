@@ -15,11 +15,10 @@
 //! The dominated columns derive their intensity from the largest
 //! requested rate.
 
-use svm_apps::{
-    lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
-};
-use svm_bench::{cli, parallel, Table};
-use svm_core::{FaultProfile, ProtocolName, SvmConfig};
+use svm_apps::verified_suite;
+use svm_bench::{cli, Record, Sweep, Table, Variant};
+use svm_core::{FaultProfile, NodeCounters, ProtocolName, RunReport};
+use svm_machine::NetFaultStats;
 
 struct Opts {
     scale: f64,
@@ -63,57 +62,32 @@ fn fault_columns(opts: &Opts) -> Vec<(String, FaultProfile)> {
         })
         .collect();
     let base = opts.drops.iter().cloned().fold(0.0f64, f64::max).max(0.001);
-    cols.push((
-        format!("dup {}", 5.0 * base),
-        FaultProfile {
+    let (dup, delay) = (5.0 * base, (20.0 * base).min(0.5));
+    let mut knob = |label: String, set: &dyn Fn(&mut FaultProfile)| {
+        let mut profile = FaultProfile {
             seed: opts.seed,
-            dup_rate: 5.0 * base,
             ..FaultProfile::default()
-        },
-    ));
-    cols.push((
-        format!("delay {}", (20.0 * base).min(0.5)),
-        FaultProfile {
-            seed: opts.seed,
-            delay_rate: (20.0 * base).min(0.5),
-            ..FaultProfile::default()
-        },
-    ));
-    cols.push((
-        format!("stall {base}"),
-        FaultProfile {
-            seed: opts.seed,
-            stall_rate: base,
-            ..FaultProfile::default()
-        },
-    ));
+        };
+        set(&mut profile);
+        cols.push((label, profile));
+    };
+    knob(format!("dup {dup}"), &|f| f.dup_rate = dup);
+    knob(format!("delay {delay}"), &|f| f.delay_rate = delay);
+    knob(format!("stall {base}"), &|f| f.stall_rate = base);
     cols
 }
 
-/// The five workloads with result verification switched on.
-fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Lu {
-            verify: true,
-            ..Lu::scaled(scale)
-        }),
-        Box::new(Sor {
-            verify: true,
-            ..Sor::scaled(scale)
-        }),
-        Box::new(WaterNsq {
-            verify: true,
-            ..WaterNsq::scaled(scale)
-        }),
-        Box::new(WaterSp {
-            verify: true,
-            ..WaterSp::scaled(scale)
-        }),
-        Box::new(Raytrace {
-            verify: true,
-            ..Raytrace::scaled(scale)
-        }),
-    ]
+/// A cell: whether it reproduced the sequential checksum, and its report.
+type Cell = Record<(bool, RunReport)>;
+
+/// The cell's sum over nodes of counter `f`.
+fn total(f: fn(&NodeCounters) -> u64) -> impl Fn(&Cell) -> String {
+    move |r| r.run.1.counters.total(f).to_string()
+}
+
+/// What the fault layer did to the cell's traffic.
+fn net(r: &Cell) -> &NetFaultStats {
+    &r.run.1.outcome.net_faults
 }
 
 fn main() {
@@ -125,67 +99,35 @@ fn main() {
         opts.scale, opts.nodes, opts.seed
     );
 
-    let mut t = Table::new(&[
-        "Application",
-        "Protocol",
-        "fault",
-        "verified",
-        "retx",
-        "timeouts",
-        "dups-supp",
-        "net-dropped",
-        "net-dup'd",
-        "net-delayed",
-        "stalls",
-        "time(s)",
-    ]);
-    // Canonical cell order (app x protocol x column); the parallel driver
-    // returns results in this same order, so the table is byte-identical
-    // to the old serial loop.
-    let suite = verified_suite(opts.scale);
+    // Canonical cell order: app x protocol x fault column.
     let columns = fault_columns(&opts);
-    let mut jobs: Vec<(usize, ProtocolName, usize)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in ProtocolName::ALL {
-            for ci in 0..columns.len() {
-                jobs.push((bi, protocol, ci));
-            }
-        }
-    }
-    let runs = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol, ci) = jobs[i];
-        let mut cfg = SvmConfig::new(protocol, opts.nodes);
-        cfg.fault = columns[ci].1.clone();
-        suite[bi].run(&cfg)
+    let variants = ProtocolName::ALL.into_iter().flat_map(|protocol| {
+        columns.iter().map(move |(_, profile)| {
+            let profile = profile.clone();
+            Variant::with(protocol, move |cfg| cfg.fault = profile.clone())
+        })
     });
-
-    let mut failures = 0usize;
-    for ((bi, protocol, ci), run) in jobs.iter().zip(&runs) {
-        let bench = &suite[*bi];
-        let ok = run.checksum == bench.expected_checksum() && run.report.errors.is_empty();
-        if !ok {
-            failures += 1;
-        }
-        let nf = &run.report.outcome.net_faults;
-        t.row(vec![
-            bench.name().to_string(),
-            protocol.label().to_string(),
-            columns[*ci].0.clone(),
-            if ok { "yes".into() } else { "FAIL".into() },
-            run.report.counters.total(|c| c.retransmissions).to_string(),
-            run.report
-                .counters
-                .total(|c| c.retransmit_timeouts)
-                .to_string(),
-            run.report.counters.total(|c| c.dup_suppressed).to_string(),
-            nf.dropped.to_string(),
-            nf.duplicated.to_string(),
-            nf.delayed.to_string(),
-            nf.stalls.to_string(),
-            format!("{:.3}", run.report.secs()),
-        ]);
-    }
-    t.print();
+    let records = Sweep::new(verified_suite(opts.scale), vec![opts.nodes], variants).run_map(
+        |bench, _, run| {
+            let ok = run.checksum == bench.expected_checksum() && run.report.errors.is_empty();
+            (ok, run.report)
+        },
+    );
+    Table::new()
+        .col("Application", |r: &Cell| r.app.into())
+        .col("Protocol", |r| r.protocol.label().into())
+        .col("fault", |r| columns[r.variant % columns.len()].0.clone())
+        .col("verified", |r| if r.run.0 { "yes" } else { "FAIL" }.into())
+        .col("retx", total(|c| c.retransmissions))
+        .col("timeouts", total(|c| c.retransmit_timeouts))
+        .col("dups-supp", total(|c| c.dup_suppressed))
+        .col("net-dropped", |r| net(r).dropped.to_string())
+        .col("net-dup'd", |r| net(r).duplicated.to_string())
+        .col("net-delayed", |r| net(r).delayed.to_string())
+        .col("stalls", |r| net(r).stalls.to_string())
+        .col("time(s)", |r| format!("{:.3}", r.run.1.secs()))
+        .print(&records);
+    let failures = records.iter().filter(|r| !r.run.0).count();
     if failures > 0 {
         println!("\n{failures} run(s) FAILED verification");
         std::process::exit(1);

@@ -19,11 +19,9 @@
 //! (defaults: scale 0.02, 8 nodes, seed 1; `--fast` runs a reduced matrix
 //! for `scripts/verify.sh`; bad input exits 2 with this usage line).
 
-use svm_apps::{
-    lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
-};
-use svm_bench::{cli, parallel, Table};
-use svm_checker::selftest::run_selftests;
+use svm_apps::{paper_suite, sor::Sor, AppRun, Benchmark};
+use svm_bench::{cli, Record, Sweep, Table, Variant};
+use svm_checker::selftest::{run_selftests, SelfTestOutcome};
 use svm_checker::{check_trace, CheckReport};
 use svm_core::{FaultProfile, ProtocolName, SvmConfig, TraceConfig};
 
@@ -54,28 +52,35 @@ fn parse_args() -> Opts {
     o
 }
 
+/// The paper suite with SOR and LU first; `fast` keeps only those two.
 fn suite(scale: f64, fast: bool) -> Vec<Box<dyn Benchmark>> {
-    let mut s: Vec<Box<dyn Benchmark>> =
-        vec![Box::new(Sor::scaled(scale)), Box::new(Lu::scaled(scale))];
-    if !fast {
-        s.push(Box::new(WaterNsq::scaled(scale)));
-        s.push(Box::new(WaterSp::scaled(scale)));
-        s.push(Box::new(Raytrace::scaled(scale)));
-    }
+    let mut s = paper_suite(scale);
+    s.swap(0, 1);
+    s.truncate(if fast { 2 } else { s.len() });
     s
 }
 
-/// Record one run and check the trace; returns the report and trace size.
-fn record_check(bench: &dyn Benchmark, cfg: &SvmConfig) -> (CheckReport, usize) {
-    let mut cfg = cfg.clone();
+/// The config tweak that records every shared access for the checker.
+fn recording(cfg: &mut SvmConfig) {
     cfg.trace = TraceConfig::recording();
-    let run = bench.run(&cfg);
+}
+
+/// A checked trace's report and size.
+type Checked = (CheckReport, usize);
+
+/// Check a recorded run's trace.
+fn check(run: &AppRun) -> Checked {
     let trace = run
         .report
         .trace
         .as_ref()
         .expect("recording was enabled for this run");
     (check_trace(trace), trace.approx_bytes())
+}
+
+/// The verdict column: `ok` or `bad` by `pass`.
+fn verdict(pass: bool, ok: &str, bad: &str) -> String {
+    if pass { ok } else { bad }.into()
 }
 
 fn main() {
@@ -90,120 +95,94 @@ fn main() {
         if opts.fast { ", fast" } else { "" }
     );
 
-    // 1. Application matrix: zero faults.
-    let mut t = Table::new(&[
-        "Application",
-        "Protocol",
-        "episodes",
-        "reads",
-        "writes",
-        "racy",
-        "ww",
-        "viol",
-        "trace",
-        "verdict",
-    ]);
-    // Record-and-check every (app x protocol) cell on the parallel driver;
-    // results come back in the canonical order, so output is unchanged.
-    let suite = suite(opts.scale, opts.fast);
-    let mut jobs: Vec<(usize, ProtocolName)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in ProtocolName::ALL {
-            jobs.push((bi, protocol));
-        }
-    }
-    let checks = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol) = jobs[i];
-        record_check(suite[bi].as_ref(), &SvmConfig::new(protocol, opts.nodes))
-    });
-    for ((bi, protocol), (r, bytes)) in jobs.iter().zip(&checks) {
-        {
-            let (bench, protocol, bytes) = (&suite[*bi], *protocol, *bytes);
-            let pass = r.coherent();
-            if !pass {
-                failures += 1;
-                for v in &r.violations {
-                    println!("  {} / {}: {v}", bench.name(), protocol.label());
-                }
+    // 1. Application matrix: zero faults. Each trace is checked on the
+    // worker that recorded it, so at most one per worker is alive.
+    let records = Sweep::new(
+        suite(opts.scale, opts.fast),
+        vec![opts.nodes],
+        ProtocolName::ALL.map(|p| Variant::with(p, recording)),
+    )
+    .run_map(|_, _, run| check(&run));
+    for r in &records {
+        if !r.run.0.coherent() {
+            failures += 1;
+            for v in &r.run.0.violations {
+                println!("  {} / {}: {v}", r.app, r.protocol.label());
             }
-            t.row(vec![
-                bench.name().to_string(),
-                protocol.label().to_string(),
-                r.episodes.to_string(),
-                r.reads.to_string(),
-                r.writes.to_string(),
-                r.racy_reads.to_string(),
-                r.ww_races.to_string(),
-                r.violations_total.to_string(),
-                format!("{}K", bytes / 1024),
-                if pass { "pass".into() } else { "FAIL".into() },
-            ]);
         }
     }
-    t.print();
+    Table::new()
+        .col("Application", |r: &Record<Checked>| r.app.into())
+        .col("Protocol", |r| r.protocol.label().into())
+        .col("episodes", |r| r.run.0.episodes.to_string())
+        .col("reads", |r| r.run.0.reads.to_string())
+        .col("writes", |r| r.run.0.writes.to_string())
+        .col("racy", |r| r.run.0.racy_reads.to_string())
+        .col("ww", |r| r.run.0.ww_races.to_string())
+        .col("viol", |r| r.run.0.violations_total.to_string())
+        .col("trace", |r| format!("{}K", r.run.1 / 1024))
+        .col("verdict", |r| verdict(r.run.0.coherent(), "pass", "FAIL"))
+        .print(&records);
 
     // 2. Faulted runs: SOR under chaos faults, every protocol.
     println!("\nFaulted runs (SOR, chaos profile, drop rate 0.002, 4 nodes):\n");
-    let mut t = Table::new(&["Protocol", "retx", "racy", "ww", "viol", "verdict"]);
-    let sor = Sor::scaled(opts.scale);
-    let faulted = parallel::run_ordered(ProtocolName::ALL.len(), parallel::workers(4), |i| {
-        let mut cfg = SvmConfig::new(ProtocolName::ALL[i], 4);
-        cfg.fault = FaultProfile::chaos(opts.seed, 0.002);
-        cfg.trace = TraceConfig::recording();
-        let run = sor.run(&cfg);
-        let r = check_trace(run.report.trace.as_ref().expect("recording enabled"));
-        (run, r)
-    });
-    for (protocol, (run, r)) in ProtocolName::ALL.into_iter().zip(&faulted) {
+    let seed = opts.seed;
+    let faulted = Sweep::new(
+        vec![Box::new(Sor::scaled(opts.scale))],
+        vec![4],
+        ProtocolName::ALL.map(|p| {
+            Variant::with(p, move |cfg| {
+                cfg.fault = FaultProfile::chaos(seed, 0.002);
+                recording(cfg);
+            })
+        }),
+    )
+    .run_map(|_, _, run| {
+        let (r, _) = check(&run);
         let pass = r.coherent() && run.report.errors.is_empty();
-        if !pass {
+        let retx = run.report.counters.total(|c| c.retransmissions);
+        (pass, retx, r)
+    });
+    for r in &faulted {
+        if !r.run.0 {
             failures += 1;
-            for v in &r.violations {
-                println!("  SOR / {}: {v}", protocol.label());
+            for v in &r.run.2.violations {
+                println!("  SOR / {}: {v}", r.protocol.label());
             }
         }
-        t.row(vec![
-            protocol.label().to_string(),
-            run.report.counters.total(|c| c.retransmissions).to_string(),
-            r.racy_reads.to_string(),
-            r.ww_races.to_string(),
-            r.violations_total.to_string(),
-            if pass { "pass".into() } else { "FAIL".into() },
-        ]);
     }
-    t.print();
+    Table::new()
+        .col("Protocol", |r: &Record<(bool, u64, CheckReport)>| {
+            r.protocol.label().into()
+        })
+        .col("retx", |r| r.run.1.to_string())
+        .col("racy", |r| r.run.2.racy_reads.to_string())
+        .col("ww", |r| r.run.2.ww_races.to_string())
+        .col("viol", |r| r.run.2.violations_total.to_string())
+        .col("verdict", |r| verdict(r.run.0, "pass", "FAIL"))
+        .print(&faulted);
 
     // 3. Mutation self-tests: the checker must catch every seeded bug.
     println!("\nMutation self-tests (seeded protocol bugs, checker as oracle):\n");
-    let mut t = Table::new(&[
-        "Mutation", "Protocol", "hits", "clean", "mutated", "verdict",
-    ]);
-    for o in run_selftests() {
-        let detected = o.detected();
-        if !detected {
+    let outcomes = run_selftests();
+    for o in &outcomes {
+        if !o.detected() {
             failures += 1;
         }
-        t.row(vec![
-            o.name.to_string(),
-            o.protocol.label().to_string(),
-            o.mutated_hits.to_string(),
-            if o.clean.ok() {
-                "ok".into()
-            } else {
-                "DIRTY".into()
-            },
-            format!("{} viol", o.mutated.violations_total),
-            if detected {
-                "caught".into()
-            } else {
-                "MISSED".into()
-            },
-        ]);
         for v in o.mutated.violations.iter().take(1) {
             println!("  {}: {v}", o.name);
         }
     }
-    t.print();
+    Table::new()
+        .col("Mutation", |o: &SelfTestOutcome| o.name.into())
+        .col("Protocol", |o| o.protocol.label().into())
+        .col("hits", |o| o.mutated_hits.to_string())
+        .col("clean", |o| verdict(o.clean.ok(), "ok", "DIRTY"))
+        .col("mutated", |o| {
+            format!("{} viol", o.mutated.violations_total)
+        })
+        .col("verdict", |o| verdict(o.detected(), "caught", "MISSED"))
+        .print(&outcomes);
 
     if failures > 0 {
         println!("\n{failures} check(s) FAILED");

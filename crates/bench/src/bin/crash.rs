@@ -20,11 +20,9 @@
 //! `[W/4, W)`; node 0 is always spared by the seeded schedule. Bad input
 //! exits 2 with the usage line.
 
-use svm_apps::{
-    lu::Lu, raytrace::Raytrace, sor::Sor, water_ns::WaterNsq, water_sp::WaterSp, Benchmark,
-};
-use svm_bench::{cli, parallel, Table};
-use svm_core::{ProtocolName, RecoveryMode, RecoveryProfile, SvmConfig};
+use svm_apps::verified_suite;
+use svm_bench::{cli, Record, Sweep, Table, Variant};
+use svm_core::{ProtocolName, RecoveryMode, RecoveryProfile, RunReport};
 use svm_machine::NodeFaultConfig;
 use svm_sim::SimDuration;
 
@@ -68,40 +66,19 @@ fn parse_args() -> Opts {
 /// the core test suite; the *matrix* is about failover actually recovering.
 const PROTOCOLS: [ProtocolName; 2] = [ProtocolName::Hlrc, ProtocolName::Ohlrc];
 
-/// The five workloads with result verification switched on, so a cell
-/// whose schedule never fires can prove the armed detector is inert.
-fn verified_suite(scale: f64) -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(Lu {
-            verify: true,
-            ..Lu::scaled(scale)
-        }),
-        Box::new(Sor {
-            verify: true,
-            ..Sor::scaled(scale)
-        }),
-        Box::new(WaterNsq {
-            verify: true,
-            ..WaterNsq::scaled(scale)
-        }),
-        Box::new(WaterSp {
-            verify: true,
-            ..WaterSp::scaled(scale)
-        }),
-        Box::new(Raytrace {
-            verify: true,
-            ..Raytrace::scaled(scale)
-        }),
-    ]
+/// One cell's run and what the matrix concluded from it.
+struct Cell {
+    /// Whether a crash instant fell inside the run.
+    disturbed: bool,
+    /// `ok`, `lost` (a disturbed run forfeited the victim's work) or `FAIL`.
+    verdict: &'static str,
+    checksum: u64,
+    report: RunReport,
 }
 
-fn recovery(mode: RecoveryMode) -> RecoveryProfile {
-    RecoveryProfile {
-        enabled: true,
-        heartbeat_us: 2_000,
-        miss_threshold: 3,
-        mode,
-    }
+/// The cell's run report.
+fn report(r: &Record<Cell>) -> &RunReport {
+    &r.run.report
 }
 
 fn main() {
@@ -123,100 +100,83 @@ fn main() {
         mode_label
     );
 
-    let suite = verified_suite(opts.scale);
     let window = SimDuration::from_micros(opts.window_us);
-    let mut jobs: Vec<(usize, ProtocolName, u64)> = Vec::new();
-    for bi in 0..suite.len() {
-        for protocol in PROTOCOLS {
-            for &seed in &opts.seeds {
-                jobs.push((bi, protocol, seed));
-            }
-        }
-    }
-    let run_cell = |bi: usize, protocol: ProtocolName, seed: u64| {
-        let mut cfg = SvmConfig::new(protocol, opts.nodes);
-        cfg.recovery = recovery(opts.mode);
-        cfg.node_fault = NodeFaultConfig::seeded(seed, opts.nodes, opts.crashes, window);
-        suite[bi].run(&cfg)
-    };
-    let runs = parallel::run_ordered(jobs.len(), parallel::workers(jobs.len()), |i| {
-        let (bi, protocol, seed) = jobs[i];
-        run_cell(bi, protocol, seed)
+    let (mode, crashes) = (opts.mode, opts.crashes);
+    let variants = PROTOCOLS.into_iter().flat_map(|protocol| {
+        opts.seeds.iter().map(move |&seed| {
+            Variant::with(protocol, move |cfg| {
+                cfg.recovery = RecoveryProfile {
+                    enabled: true,
+                    heartbeat_us: 2_000,
+                    miss_threshold: 3,
+                    mode,
+                };
+                cfg.node_fault = NodeFaultConfig::seeded(seed, cfg.nodes, crashes, window);
+            })
+        })
     });
-
-    let mut t = Table::new(&[
-        "Application",
-        "Protocol",
-        "seed",
-        "outcome",
-        "crashes",
-        "deaths",
-        "rehomed",
-        "revoked",
-        "refetches",
-        "checksum",
-        "time(s)",
-    ]);
-    let mut failures = 0usize;
-    let mut first_fired: Option<usize> = None;
-    for (i, ((bi, protocol, seed), run)) in jobs.iter().zip(&runs).enumerate() {
-        let bench = &suite[*bi];
-        let r = &run.report;
+    let sweep = Sweep::new(verified_suite(opts.scale), vec![opts.nodes], variants);
+    let records = sweep.run_map(|bench, cfg, run| {
         // A crash instant inside the run disturbs it (the victim's
         // remaining work is forfeit); one beyond the natural end is a
         // dangling schedule and must be invisible in the results.
-        let schedule = NodeFaultConfig::seeded(*seed, opts.nodes, opts.crashes, window);
-        let disturbed = schedule.crashes.iter().any(|c| c.at < r.outcome.total_time);
-        if disturbed && first_fired.is_none() {
-            first_fired = Some(i);
-        }
-        let checksum = if run.checksum == bench.expected_checksum() {
+        let total = run.report.outcome.total_time;
+        let disturbed = cfg.node_fault.crashes.iter().any(|c| c.at < total);
+        let verdict = if run.checksum == bench.expected_checksum() {
             "ok"
         } else if disturbed {
             "lost"
         } else {
-            failures += 1;
             "FAIL"
         };
-        let nerrs = r.errors.len() + r.outcome.errors.len();
-        let outcome = if nerrs == 0 {
-            "clean".to_string()
-        } else {
-            format!("error:{nerrs}")
-        };
-        t.row(vec![
-            bench.name().to_string(),
-            protocol.label().to_string(),
-            seed.to_string(),
-            outcome,
-            r.outcome.node_faults.crashes.to_string(),
-            r.deaths.len().to_string(),
-            r.recovery.rehomed_pages.to_string(),
-            r.recovery.revoked_grants.to_string(),
-            r.recovery.refetches.to_string(),
-            checksum.to_string(),
-            format!("{:.3}", r.secs()),
-        ]);
-    }
-    t.print();
+        Cell {
+            disturbed,
+            verdict,
+            checksum: run.checksum,
+            report: run.report,
+        }
+    });
+
+    let seed = |r: &Record<Cell>| opts.seeds[r.variant % opts.seeds.len()];
+    Table::new()
+        .col("Application", |r: &Record<Cell>| r.app.into())
+        .col("Protocol", |r| r.protocol.label().into())
+        .col("seed", |r| seed(r).to_string())
+        .col("outcome", |r| {
+            match report(r).errors.len() + report(r).outcome.errors.len() {
+                0 => "clean".to_string(),
+                nerrs => format!("error:{nerrs}"),
+            }
+        })
+        .col("crashes", |r| {
+            report(r).outcome.node_faults.crashes.to_string()
+        })
+        .col("deaths", |r| report(r).deaths.len().to_string())
+        .col("rehomed", |r| report(r).recovery.rehomed_pages.to_string())
+        .col("revoked", |r| report(r).recovery.revoked_grants.to_string())
+        .col("refetches", |r| report(r).recovery.refetches.to_string())
+        .col("checksum", |r| r.run.verdict.into())
+        .col("time(s)", |r| format!("{:.3}", report(r).secs()))
+        .print(&records);
+    let mut failures = records.iter().filter(|r| r.run.verdict == "FAIL").count();
 
     // Bit-reproducibility: replay the first cell whose crash actually
     // fired and demand an identical trajectory.
-    if let Some(i) = first_fired {
-        let (bi, protocol, seed) = jobs[i];
-        let again = run_cell(bi, protocol, seed);
-        let (a, b) = (&runs[i].report, &again.report);
+    if let Some(i) = records.iter().position(|r| r.run.disturbed) {
+        let (bench, cfg) = sweep.cell(i);
+        let (first, again) = (&records[i], bench.run(&cfg));
+        let (a, b) = (&first.run.report, &again.report);
         let identical = a.outcome.total_time == b.outcome.total_time
             && a.deaths == b.deaths
             && a.recovery == b.recovery
             && a.errors.len() == b.errors.len()
             && a.outcome.errors == b.outcome.errors
-            && runs[i].checksum == again.checksum;
+            && first.run.checksum == again.checksum;
         println!(
             "\nreplay {} / {} / seed {}: {}",
-            suite[bi].name(),
-            protocol.label(),
-            seed,
+            first.app,
+            first.protocol.label(),
+            seed(first),
             if identical {
                 "bit-identical"
             } else {

@@ -3,9 +3,11 @@
 //! node 2 is the page's home. Run with the four protocols and print the
 //! message sequence (requires the trace hook, enabled here).
 
+use svm_bench::cli;
 use svm_core::{run, BarrierId, LockId, ProtocolName, SvmConfig};
 
 fn main() {
+    cli::sweep_options(&[]);
     for protocol in ProtocolName::ALL {
         eprintln!("\n==== {protocol}: write(x) on n0; acquire+read(x) on n1; home = n2 ====");
         let mut cfg = SvmConfig::new(protocol, 3);

@@ -2,47 +2,35 @@
 //! transfer, garbage collection, lock, barrier, protocol overhead — per
 //! application, protocol, and machine size (printed as percentage stacks).
 
-use svm_bench::{cli, run_sweep, Table};
+use svm_bench::cli::{self, Flag};
+use svm_bench::{pct, Record, Table};
 use svm_machine::Category;
 
+/// The cell's average share of time in category `c`.
+fn share(c: Category) -> impl Fn(&Record) -> String {
+    move |r| pct(&r.run.report.avg_breakdown(), c)
+}
+
 fn main() {
-    let opts = cli::sweep_options();
-    let records = run_sweep(&opts);
+    let opts = cli::sweep_options(&Flag::ALL);
+    let records = opts.sweep(opts.protocols.clone()).run();
 
     println!(
         "\nFigure 3: average per-node execution time breakdowns (scale {})\n",
         opts.scale
     );
-    let mut t = Table::new(&[
-        "Application",
-        "Proto",
-        "Nodes",
-        "Total s",
-        "Compute%",
-        "Data%",
-        "Lock%",
-        "Barrier%",
-        "Proto%",
-        "GC%",
-    ]);
-    for r in &records {
-        let b = r.run.report.avg_breakdown();
-        let total = b.total().as_secs_f64();
-        let pct = |c: Category| format!("{:.1}", b[c].as_secs_f64() / total * 100.0);
-        t.row(vec![
-            r.app.into(),
-            r.protocol.label().into(),
-            r.nodes.to_string(),
-            format!("{:.3}", r.run.report.secs()),
-            pct(Category::Compute),
-            pct(Category::DataTransfer),
-            pct(Category::Lock),
-            pct(Category::Barrier),
-            pct(Category::Protocol),
-            pct(Category::Gc),
-        ]);
-    }
-    t.print();
+    Table::new()
+        .col("Application", |r: &Record| r.app.into())
+        .col("Proto", |r| r.protocol.label().into())
+        .col("Nodes", |r| r.nodes.to_string())
+        .col("Total s", |r| format!("{:.3}", r.run.report.secs()))
+        .col("Compute%", share(Category::Compute))
+        .col("Data%", share(Category::DataTransfer))
+        .col("Lock%", share(Category::Lock))
+        .col("Barrier%", share(Category::Barrier))
+        .col("Proto%", share(Category::Protocol))
+        .col("GC%", share(Category::Gc))
+        .print(&records);
     println!(
         "\nExpected shapes: home-based runs shrink the data-transfer, lock and\n\
          protocol segments; GC appears only under LRC/OLRC; synchronization\n\

@@ -4,44 +4,44 @@
 //! ablation reruns the sweep under a modern-network cost model and compares
 //! the HLRC-over-LRC advantage.
 
-use svm_bench::{cli, Table};
-use svm_core::{ProtocolName, SvmConfig};
+use svm_bench::cli::{self, Flag};
+use svm_bench::{Record, Table, Variant};
+use svm_core::ProtocolName;
 use svm_machine::CostModel;
 
+/// Run time of the row's cell `v`: LRC then HLRC, Paragon then fast network.
+fn t(row: &[Record], v: usize) -> f64 {
+    row[v].run.report.secs()
+}
+
 fn main() {
-    let opts = cli::sweep_options();
+    let opts = cli::sweep_options(&[Flag::Scale, Flag::Nodes, Flag::Apps]);
     println!(
         "\nSection 4.8 sensitivity: HLRC advantage over LRC, Paragon vs fast network (scale {})\n",
         opts.scale
     );
-    let mut t = Table::new(&[
-        "Application",
-        "Nodes",
-        "Paragon: LRC s",
-        "HLRC s",
-        "gap %",
-        "Fast net: LRC s",
-        "HLRC s",
-        "gap %",
-    ]);
-    for bench in opts.suite() {
-        for &nodes in &opts.nodes {
-            let mut row = vec![bench.name().to_string(), nodes.to_string()];
-            for cost in [CostModel::paragon(), CostModel::fast_network()] {
-                let mut lrc_cfg = SvmConfig::new(ProtocolName::Lrc, nodes);
-                lrc_cfg.cost = cost.clone();
-                let mut hlrc_cfg = SvmConfig::new(ProtocolName::Hlrc, nodes);
-                hlrc_cfg.cost = cost.clone();
-                eprintln!("running {} x{nodes}...", bench.name());
-                let lrc = bench.run(&lrc_cfg).report.secs();
-                let hlrc = bench.run(&hlrc_cfg).report.secs();
-                row.push(format!("{lrc:.3}"));
-                row.push(format!("{hlrc:.3}"));
-                row.push(format!("{:.1}", (lrc / hlrc - 1.0) * 100.0));
-            }
-            t.row(row);
-        }
+    let variants = [CostModel::paragon(), CostModel::fast_network()]
+        .into_iter()
+        .flat_map(|cost| {
+            [ProtocolName::Lrc, ProtocolName::Hlrc].map(|p| {
+                let cost = cost.clone();
+                Variant::with(p, move |cfg| cfg.cost = cost.clone())
+            })
+        });
+    let records = opts.sweep(variants).run();
+    let mut table = Table::new()
+        .col("Application", |row: &[Record]| row[0].app.into())
+        .col("Nodes", |row| row[0].nodes.to_string());
+    for (net, lrc) in [("Paragon", 0), ("Fast net", 2)] {
+        table = table
+            .col(format!("{net}: LRC s"), move |row| {
+                format!("{:.3}", t(row, lrc))
+            })
+            .col("HLRC s", move |row| format!("{:.3}", t(row, lrc + 1)))
+            .col("gap %", move |row| {
+                format!("{:.1}", (t(row, lrc) / t(row, lrc + 1) - 1.0) * 100.0)
+            });
     }
-    t.print();
+    table.print(records.chunks(4));
     println!("\nExpected shape: the gap column shrinks under the fast network.");
 }

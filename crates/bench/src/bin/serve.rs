@@ -218,30 +218,22 @@ fn main() {
         execute(cell).0
     });
 
-    let mut table = Table::new(&[
-        "service", "dist", "load", "protocol", "ops", "kreq/s", "p50us", "p95us", "p99us",
-        "p999us", "miss",
-    ]);
-    let mut bad = 0u64;
-    for r in &rows {
-        bad += r.value_errors + r.fifo_errors;
-        table.row(vec![
-            r.service.to_string(),
-            r.dist.clone(),
-            r.load.clone(),
-            r.protocol.to_string(),
-            r.ops.to_string(),
-            format!("{:.1}", r.throughput / 1e3),
-            us(r.hist.p50()),
-            us(r.hist.p95()),
-            us(r.hist.p99()),
-            us(r.hist.p999()),
-            r.misses.to_string(),
-        ]);
-    }
+    let bad: u64 = rows.iter().map(|r| r.value_errors + r.fifo_errors).sum();
     println!("Served-traffic matrix: latency/throughput per protocol (virtual time)");
     println!();
-    table.print();
+    Table::new()
+        .col("service", |r: &Row| r.service.into())
+        .col("dist", |r| r.dist.clone())
+        .col("load", |r| r.load.clone())
+        .col("protocol", |r| r.protocol.into())
+        .col("ops", |r| r.ops.to_string())
+        .col("kreq/s", |r| format!("{:.1}", r.throughput / 1e3))
+        .col("p50us", |r| us(r.hist.p50()))
+        .col("p95us", |r| us(r.hist.p95()))
+        .col("p99us", |r| us(r.hist.p99()))
+        .col("p999us", |r| us(r.hist.p999()))
+        .col("miss", |r| r.misses.to_string())
+        .print(&rows);
 
     let doc = Json::obj([
         ("schema", Json::str(SCHEMA)),

@@ -4,31 +4,31 @@
 
 use svm_apps::sor::Sor;
 use svm_apps::Benchmark;
-use svm_bench::{cli, Table};
-use svm_core::{ProtocolName, SvmConfig};
+use svm_bench::cli::{self, Flag};
+use svm_bench::{Record, Sweep, Table};
+use svm_core::ProtocolName;
 
 fn main() {
-    let opts = cli::sweep_options();
+    let opts = cli::sweep_options(&[Flag::Scale, Flag::Nodes]);
     let sor = Sor::zero_interior(opts.scale);
     println!(
         "\nSection 4.8: SOR with zero interior ({}), scale {}\n",
         sor.size_label(),
         opts.scale
     );
-    let mut t = Table::new(&["Nodes", "T LRC (s)", "T HLRC (s)", "HLRC advantage %"]);
-    for &nodes in &opts.nodes {
-        eprintln!("running SOR-zero x{nodes}...");
-        let lrc = sor.run(&SvmConfig::new(ProtocolName::Lrc, nodes));
-        let hlrc = sor.run(&SvmConfig::new(ProtocolName::Hlrc, nodes));
-        t.row(vec![
-            nodes.to_string(),
-            format!("{:.3}", lrc.report.secs()),
-            format!("{:.3}", hlrc.report.secs()),
-            format!(
-                "{:.1}",
-                (lrc.report.secs() / hlrc.report.secs() - 1.0) * 100.0
-            ),
-        ]);
-    }
-    t.print();
+    let records = Sweep::new(
+        vec![Box::new(sor)],
+        opts.nodes.clone(),
+        [ProtocolName::Lrc, ProtocolName::Hlrc],
+    )
+    .run();
+    let t = |row: &[Record], v: usize| row[v].run.report.secs();
+    Table::new()
+        .col("Nodes", |row: &[Record]| row[0].nodes.to_string())
+        .col("T LRC (s)", |row| format!("{:.3}", t(row, 0)))
+        .col("T HLRC (s)", |row| format!("{:.3}", t(row, 1)))
+        .col("HLRC advantage %", |row| {
+            format!("{:.1}", (t(row, 0) / t(row, 1) - 1.0) * 100.0)
+        })
+        .print(records.chunks(2));
 }

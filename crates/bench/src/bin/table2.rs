@@ -1,34 +1,25 @@
 //! Table 2: speedups for all four protocols at each machine size.
 
-use svm_bench::{apps, cli, index, run_sweep, Table};
+use svm_bench::cli::{self, Flag};
+use svm_bench::{Record, Table};
 
 fn main() {
-    let opts = cli::sweep_options();
-    let records = run_sweep(&opts);
-    let idx = index(&records);
+    let opts = cli::sweep_options(&Flag::ALL);
+    let records = opts.sweep(opts.protocols.clone()).run();
 
     println!(
         "\nTable 2: speedups on the simulated Paragon (scale {})\n",
         opts.scale
     );
-    let mut header = vec!["Application".to_string()];
-    for &n in &opts.nodes {
-        for p in &opts.protocols {
-            header.push(format!("{}@{n}", p.label()));
-        }
+    // One row per workload: its cells for every node count x protocol.
+    let per_app = opts.nodes.len() * opts.protocols.len();
+    let mut t = Table::new().col("Application", |row: &[Record]| row[0].app.into());
+    for (j, r) in records[..per_app].iter().enumerate() {
+        t = t.col(format!("{}@{}", r.protocol.label(), r.nodes), move |row| {
+            format!("{:.2}", row[j].run.report.speedup_vs(row[j].seq_secs))
+        });
     }
-    let mut t = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-    for app in apps(&records) {
-        let mut row = vec![app.to_string()];
-        for &n in &opts.nodes {
-            for p in &opts.protocols {
-                let r = idx[&(app, n, p.label())];
-                row.push(format!("{:.2}", r.run.report.speedup_vs(r.seq_secs)));
-            }
-        }
-        t.row(row);
-    }
-    t.print();
+    t.print(records.chunks(per_app));
     println!(
         "\nExpected shapes: HLRC/OHLRC >= LRC/OLRC, gap grows with nodes;\n\
          overlap adds a modest increment (paper Section 4.2)."

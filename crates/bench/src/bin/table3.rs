@@ -1,6 +1,7 @@
 //! Table 3: costs of basic operations, and the paper's Section-4.3
 //! minimum critical-path sums derived from them.
 
+use svm_bench::cli;
 use svm_machine::CostModel;
 use svm_sim::SimDuration;
 
@@ -9,6 +10,7 @@ fn us(d: SimDuration) -> String {
 }
 
 fn main() {
+    cli::sweep_options(&[]);
     let c = CostModel::paragon();
     println!("Table 3: timings for basic operations (microseconds)\n");
     let rows: Vec<(&str, String)> = vec![

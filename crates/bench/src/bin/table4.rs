@@ -2,58 +2,38 @@
 //! and applied, lock acquires, barriers — for LRC versus HLRC at the
 //! smallest and largest machine sizes (the "home effect" table).
 
-use svm_bench::{apps, cli, run_sweep, Table};
-use svm_core::ProtocolName;
+use svm_bench::cli::{self, Flag};
+use svm_bench::{Record, Table};
+use svm_core::{NodeCounters, ProtocolName};
+
+/// The per-node average of counter `f` in the row's cell `v` (0 LRC, 1 HLRC).
+fn avg(v: usize, f: fn(&NodeCounters) -> u64) -> impl Fn(&[Record]) -> String {
+    move |row| format!("{:.0}", row[v].run.report.counters.avg(f))
+}
 
 fn main() {
-    let mut opts = cli::sweep_options();
-    opts.protocols = vec![ProtocolName::Lrc, ProtocolName::Hlrc];
+    let mut opts = cli::sweep_options(&[Flag::Scale, Flag::Nodes, Flag::Apps]);
     if opts.nodes.len() > 2 {
         opts.nodes = vec![*opts.nodes.first().unwrap(), *opts.nodes.last().unwrap()];
     }
-    let records = run_sweep(&opts);
+    let records = opts.sweep([ProtocolName::Lrc, ProtocolName::Hlrc]).run();
 
     println!(
         "\nTable 4: average per-node operation counts (scale {})\n",
         opts.scale
     );
-    let mut t = Table::new(&[
-        "Application",
-        "Nodes",
-        "Misses LRC",
-        "Misses HLRC",
-        "DiffsCr LRC",
-        "DiffsCr HLRC",
-        "DiffsAp LRC",
-        "DiffsAp HLRC",
-        "LockAcq",
-        "Barriers",
-    ]);
-    let cell =
-        |app: &str, nodes: usize, p: ProtocolName, f: &dyn Fn(&svm_core::NodeCounters) -> u64| {
-            records
-                .iter()
-                .find(|r| r.app == app && r.nodes == nodes && r.protocol == p)
-                .map(|r| format!("{:.0}", r.run.report.counters.avg(f)))
-                .unwrap_or_default()
-        };
-    for app in apps(&records) {
-        for &n in &opts.nodes {
-            t.row(vec![
-                app.into(),
-                n.to_string(),
-                cell(app, n, ProtocolName::Lrc, &|c| c.read_misses),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.read_misses),
-                cell(app, n, ProtocolName::Lrc, &|c| c.diffs_created),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.diffs_created),
-                cell(app, n, ProtocolName::Lrc, &|c| c.diffs_applied),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.diffs_applied),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.lock_acquires),
-                cell(app, n, ProtocolName::Hlrc, &|c| c.barriers),
-            ]);
-        }
-    }
-    t.print();
+    Table::new()
+        .col("Application", |row: &[Record]| row[0].app.into())
+        .col("Nodes", |row| row[0].nodes.to_string())
+        .col("Misses LRC", avg(0, |c| c.read_misses))
+        .col("Misses HLRC", avg(1, |c| c.read_misses))
+        .col("DiffsCr LRC", avg(0, |c| c.diffs_created))
+        .col("DiffsCr HLRC", avg(1, |c| c.diffs_created))
+        .col("DiffsAp LRC", avg(0, |c| c.diffs_applied))
+        .col("DiffsAp HLRC", avg(1, |c| c.diffs_applied))
+        .col("LockAcq", avg(1, |c| c.lock_acquires))
+        .col("Barriers", avg(1, |c| c.barriers))
+        .print(records.chunks(2));
     println!(
         "\nExpected shapes: zero HLRC diffs for single-writer apps with owner\n\
          homes (LU, SOR); fewer HLRC diff applications (applied once, at the\n\

@@ -15,11 +15,15 @@
 //! }
 //! ```
 //!
+//! The table and figure binaries instead call [`sweep_options`] with the
+//! [`Flag`]s they honour; their usage line names exactly those flags.
+//!
 //! `-h`/`--help` prints the usage line to stdout and exits 0. Malformed
-//! input — an unknown flag, a missing value, an unparsable number,
-//! `--nodes` outside 1..=65535, a non-finite or non-positive `--scale`, an
-//! `--apps` entry that names no workload — prints the problem and the usage
-//! line to stderr and exits 2 before any run starts.
+//! input — an unknown flag (including a sweep flag the binary does not
+//! honour), a missing value, an unparsable number, `--nodes` outside
+//! 1..=65535, a non-finite or non-positive `--scale`, an `--apps` entry
+//! that names no workload — prints the problem and the usage line to
+//! stderr and exits 2 before any run starts.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -47,7 +51,7 @@ impl Args {
             .file_stem()
             .map_or(prog.clone(), |s| s.to_string_lossy().into_owned());
         Args {
-            usage: format!("usage: {prog} {flags}"),
+            usage: format!("usage: {prog} {flags}").trim_end().to_string(),
             rest: argv.collect::<Vec<_>>().into_iter(),
             flag: String::new(),
         }
@@ -143,18 +147,49 @@ impl Args {
     }
 }
 
-/// The sweep options of the table and figure binaries:
-/// `[--scale X | --paper] [--nodes a,b] [--protocols A,B] [--apps x,y]`.
-pub fn sweep_options() -> Options {
+/// A sweep flag a report binary may take.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--scale X`, or `--paper` for scale 1.
+    Scale,
+    /// `--nodes a,b`.
+    Nodes,
+    /// `--protocols A,B`.
+    Protocols,
+    /// `--apps x,y`.
+    Apps,
+}
+
+impl Flag {
+    /// Every sweep flag.
+    pub const ALL: [Flag; 4] = [Flag::Scale, Flag::Nodes, Flag::Protocols, Flag::Apps];
+
+    fn synopsis(self) -> &'static str {
+        match self {
+            Flag::Scale => "[--scale X | --paper]",
+            Flag::Nodes => "[--nodes a,b]",
+            Flag::Protocols => "[--protocols A,B]",
+            Flag::Apps => "[--apps x,y]",
+        }
+    }
+}
+
+/// The sweep options of a table or figure binary that honours exactly
+/// `flags`; any other flag is rejected with the usage line naming `flags`.
+pub fn sweep_options(flags: &[Flag]) -> Options {
     let mut o = Options::default();
-    let mut args = Args::new("[--scale X | --paper] [--nodes a,b] [--protocols A,B] [--apps x,y]");
+    let synopsis: Vec<&str> = flags.iter().map(|f| f.synopsis()).collect();
+    let mut args = Args::new(&synopsis.join(" "));
+    let takes = |f| flags.contains(&f);
     while let Some(flag) = args.next_flag() {
         match flag.as_str() {
-            "--paper" => o.scale = 1.0,
-            "--scale" => o.scale = args.scale(),
-            "--nodes" => o.nodes = args.node_list(),
-            "--protocols" => o.protocols = args.protocols(),
-            "--apps" => o.apps = args.string().split(',').map(str::to_lowercase).collect(),
+            "--paper" if takes(Flag::Scale) => o.scale = 1.0,
+            "--scale" if takes(Flag::Scale) => o.scale = args.scale(),
+            "--nodes" if takes(Flag::Nodes) => o.nodes = args.node_list(),
+            "--protocols" if takes(Flag::Protocols) => o.protocols = args.protocols(),
+            "--apps" if takes(Flag::Apps) => {
+                o.apps = args.string().split(',').map(str::to_lowercase).collect()
+            }
             _ => args.unknown(),
         }
     }

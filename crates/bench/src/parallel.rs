@@ -1,6 +1,6 @@
 //! The parallel experiment driver.
 //!
-//! Every cell of a sweep (one app x protocol x node-count run) is an
+//! Every cell of a sweep (one workload x node-count x variant run) is an
 //! independent, seeded, virtual-time simulation: nothing it computes
 //! depends on wall-clock interleaving, so the cells can execute on any
 //! number of worker threads and still produce bit-identical results. The

@@ -14,7 +14,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
 #[test]
 fn malformed_arguments_exit_2_with_usage() {
     let table2 = env!("CARGO_BIN_EXE_table2");
-    let cases: [(&str, &[&str]); 8] = [
+    let cases: [(&str, &[&str]); 12] = [
         (table2, &["--nodes", "0"]),
         (table2, &["--nodes"]),
         (table2, &["--scale", "-1"]),
@@ -23,6 +23,11 @@ fn malformed_arguments_exit_2_with_usage() {
         (table2, &["--apps", "nosuch"]),
         (env!("CARGO_BIN_EXE_chaos"), &["--seed", "x"]),
         (env!("CARGO_BIN_EXE_explore"), &["--fsat"]),
+        // Flags a binary does not honour are rejected, not ignored.
+        (env!("CARGO_BIN_EXE_table3"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_fig12_trace"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_table4"), &["--protocols", "OLRC"]),
+        (env!("CARGO_BIN_EXE_sor48"), &["--apps", "lu"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);

@@ -25,7 +25,7 @@
 //! Keeping all three in one `#[test]` keeps the process-wide allocation
 //! counter free of other tests' allocations.
 
-use svm_bench::{run_sweep_serial, run_sweep_with, Options, Record};
+use svm_bench::{Options, Record};
 use svm_core::ProtocolName;
 use svm_testkit::alloc::{self, CountingAlloc};
 use svm_testkit::bench::Stopwatch;
@@ -85,12 +85,12 @@ fn sweep_matches_pinned_engine_fingerprints() {
 
     let sw = Stopwatch::start();
     let allocs_before = alloc::stats().allocation_count;
-    let serial = run_sweep_serial(&opts);
+    let serial = opts.sweep(opts.protocols.clone()).run_on(1);
     let serial_allocs = alloc::stats().allocation_count - allocs_before;
     let serial_ms = sw.elapsed_ms();
 
     let sw = Stopwatch::start();
-    let parallel = run_sweep_with(&opts, PARALLEL_THREADS);
+    let parallel = opts.sweep(opts.protocols.clone()).run_on(PARALLEL_THREADS);
     let parallel_ms = sw.elapsed_ms();
 
     let mut divergences = Vec::new();

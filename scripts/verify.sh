@@ -4,10 +4,10 @@
 # instead of passing on a warm cache.
 #
 # Usage: verify.sh [--fast]
-#   --fast skips the example/benchmark compiles and the chaos matrix, but
-#   always keeps the static analyzer, the crash-recovery smoke, and the
-#   consistency-check subset — the cheap gates that catch whole bug
-#   classes.
+#   --fast skips the examples compile, the perfbench tests and the chaos
+#   matrix, but always keeps the static analyzer, the crash-recovery
+#   smoke, and the consistency-check subset — the cheap gates that catch
+#   whole bug classes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
